@@ -24,14 +24,18 @@ from .errors import ConfigError, DataError, FormatError, NumericError
 from .linalg import pca_reduce
 from .network import (
     FINAL_INITS,
+    LayerSpec,
     Network,
+    NetworkSpec,
     backward,
     decide_classes,
     forward,
     init_network,
     mlp_spec,
 )
-from .separability import (
+# The two single-form metrics are not called here; they stay importable
+# from this module for callers that look the metric names up on it.
+from .separability import (  # noqa: F401
     format_epsilon,
     separability_metric,
     separability_metric_trace_form,
@@ -40,8 +44,8 @@ from .separability import (
 
 LOSS_KINDS = ("softmax_ce", "softmax_ce_plus_center")
 
-# Both separability forms are evaluated at every logged step; they must
-# agree to this tolerance or the run aborts.
+# Both separability forms are evaluated at every step, from one error
+# matrix; they must agree to this tolerance or the run aborts.
 EPSILON_FORM_TOL = 1e-9
 
 
@@ -127,17 +131,19 @@ def evaluate_accuracy(net, ds):
 
 
 def _sample_epsilon(w, step):
-    eps = separability_metric(w)
-    eps_trace = separability_metric_trace_form(w)
+    """Separability report of ``w``, with its two forms checked to agree."""
+    report = separability_report(w)
+    eps, eps_trace = report.epsilon, report.epsilon_trace
     # Absolute tolerance at ordinary magnitudes, relative once a diverging
     # run pushes the metric far above 1 (roundoff alone exceeds 1e-9 there).
+    # Written so that a NaN or infinite form fails the comparison too.
     tol = EPSILON_FORM_TOL * max(1.0, abs(eps), abs(eps_trace))
-    if abs(eps - eps_trace) > tol:
+    if not abs(eps - eps_trace) <= tol:
         raise NumericError(
             f"separability forms disagree at step {step}: "
             f"{eps!r} vs {eps_trace!r}"
         )
-    return eps
+    return report
 
 
 def train(config, ds, eval_ds=None):
@@ -222,16 +228,15 @@ def train(config, ds, eval_ds=None):
                 if seeds.latent_grad is not None
                 else np.zeros_like(latent)
             )
-            grads = backward(net, trace, seeds.logit_grad, latent_extra)
+            grads = backward(net, trace, seeds.logit_grad, latent_extra).arrays
             if seeds.w_grad is not None:
-                arrays = list(grads.arrays)
-                arrays[-1] = arrays[-1] + seeds.w_grad
-                grads = replace(grads, arrays=tuple(arrays))
+                grads = grads[:-1] + (grads[-1] + seeds.w_grad,)
 
             params, state = optim.sgd_step(
-                params, grads.arrays, state, lr, update_mask, decay_mask
+                params, grads, state, lr, update_mask, decay_mask
             )
             net = net.replace_parameters(params)
+            report = _sample_epsilon(net.final_weight, step)
 
             batch_acc = float(np.mean(decide_classes(logits) == labels))
             records.append(
@@ -242,7 +247,7 @@ def train(config, ds, eval_ds=None):
                     loss_re=value.re,
                     loss_total=value.total,
                     train_accuracy=batch_acc,
-                    epsilon=_sample_epsilon(net.final_weight, step),
+                    epsilon=report.epsilon,
                 )
             )
             step += 1
@@ -253,7 +258,7 @@ def train(config, ds, eval_ds=None):
         config=config,
         records=tuple(records),
         network=net,
-        report=separability_report(net.final_weight),
+        report=report,  # of the final weight, sampled after the last step
         eval_accuracy=tuple(eval_accuracy),
     )
 
@@ -524,7 +529,11 @@ def save_checkpoint(net, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a :class:`Network`."""
+    """Read a checkpoint back into a :class:`Network`.
+
+    A damaged or malformed file raises :class:`FormatError`; parameters that
+    are not finite raise :class:`NumericError`.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -546,41 +555,65 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable checkpoint header: {e}") from e
 
-    from .network import LayerSpec, NetworkSpec
-
-    spec = NetworkSpec(
-        layers=tuple(
-            LayerSpec(l["in"], l["out"], l["activation"]) for l in header["layers"]
-        )
-    )
+    spec, expected = _checkpoint_layout(header, path)
     offset = 12 + header_len
-    arrays = []
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        end = offset + count * 8
+    params = []
+    for name, shape in expected:
+        # Python-int product: int64 would wrap for a huge promised shape.
+        end = offset + 8 * int(np.prod(shape, dtype=object))
         if end > len(blob) - 4:
             raise FormatError(f"{path}: payload shorter than header promises")
-        arrays.append(
-            np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        )
+        arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise NumericError(f"{path}: {name} holds non-finite values")
+        params.append(arr.copy())
         offset = end
     if offset != len(blob) - 4:
         raise FormatError(f"{path}: payload longer than header promises")
+    # Flat order is [W0, b0, W1, b1, ..., W_last]; the final layer has no bias.
+    return Network(spec, params[0::2], params[1::2] + [None])
 
-    weights, biases = [], []
-    it = iter(arrays)
-    names = iter(header["arrays"])
-    for k in range(len(spec.layers)):
-        weights.append(next(it))
-        entry = next(names)
-        has_bias = k < len(spec.layers) - 1
-        if has_bias:
-            biases.append(next(it))
-            next(names)
-        else:
-            biases.append(None)
-    return Network(spec, weights, biases)
+
+def _is_dim(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _checkpoint_layout(header, path):
+    """The network spec a checkpoint header describes, and the (name, shape)
+    of each array it promises, in payload order. Anything else in place of
+    the header :func:`save_checkpoint` writes raises :class:`FormatError`."""
+    def malformed(what):
+        return FormatError(f"{path}: malformed checkpoint header: {what}")
+
+    if not isinstance(header, dict):
+        raise malformed(f"expected an object, got {type(header).__name__}")
+    layers, arrays = header.get("layers"), header.get("arrays")
+    if not isinstance(layers, list) or not isinstance(arrays, list):
+        raise malformed("'layers' and 'arrays' must both be lists")
+    for layer in layers:
+        if not (isinstance(layer, dict) and _is_dim(layer.get("in"))
+                and _is_dim(layer.get("out"))
+                and isinstance(layer.get("activation"), str)):
+            raise malformed(f"bad layer entry {layer!r}")
+    try:
+        spec = NetworkSpec(layers=tuple(
+            LayerSpec(l["in"], l["out"], l["activation"]) for l in layers
+        ))
+    except ConfigError as e:
+        raise malformed(str(e)) from e
+
+    expected = []
+    for k, layer in enumerate(spec.layers):
+        expected.append((f"layer{k}.weight", [layer.in_dim, layer.out_dim]))
+        if k < len(spec.layers) - 1:
+            expected.append((f"layer{k}.bias", [layer.out_dim]))
+    promised = [
+        (a.get("name"), a.get("shape")) if isinstance(a, dict) else a
+        for a in arrays
+    ]
+    if promised != expected:
+        raise malformed("array list does not match the layer stack")
+    return spec, expected
 
 
 def config_to_text(config):

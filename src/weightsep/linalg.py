@@ -29,7 +29,7 @@ def as_matrix(a, name="matrix"):
         raise ShapeError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name}: empty dimension in shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericError(f"{name}: non-finite entries")
     return m
 

@@ -11,9 +11,10 @@ the orthonormality of the decision columns.
 
 All batch losses reduce by the mean, so loss weights keep the same meaning
 at any batch size. Gradients are returned analytically next to each value.
+Every function that takes labels validates them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +36,9 @@ def log_softmax(v, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def one_hot(labels, n_classes):
-    """One-hot rows for integer labels in [0, n_classes)."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DataError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _check_labels(labels, n_classes):
+    """The one label check: a 1-D integer array with entries in
+    [0, n_classes). Every public function taking labels runs it."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got ndim={labels.ndim}")
@@ -58,6 +48,14 @@ def _check_labels(labels, n_classes):
             f"[{labels.min()}, {labels.max()}]"
         )
     return labels
+
+
+def one_hot(labels, n_classes):
+    """One-hot rows for integer labels in [0, n_classes)."""
+    labels = _check_labels(labels, n_classes)
+    out = np.zeros((labels.shape[0], n_classes))
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
 
 
 def softmax_cross_entropy(logits, labels):
@@ -71,9 +69,14 @@ def softmax_cross_entropy(logits, labels):
         raise ShapeError(f"logits must be 2-D, got ndim={logits.ndim}")
     b, n = logits.shape
     labels = _check_labels(labels, n)
+    rows = np.arange(b)
     logp = log_softmax(logits, axis=1)
-    loss = float(-logp[np.arange(b), labels].mean())
-    grad = (np.exp(logp) - one_hot(labels, n)) / b
+    loss = float(-logp[rows, labels].mean())
+    # Subtracting the one-hot in place: x - 0.0 is x, so only the label
+    # entries change, exactly as with a dense one-hot matrix.
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad /= b
     return loss, grad
 
 
@@ -97,7 +100,9 @@ class CenterState:
 def center_loss(latent, labels, state):
     """Half mean squared distance of each latent row to its class center.
 
-    Returns (loss, dloss/dlatent, updated_state).
+    Returns (loss, dloss/dlatent, updated_state). The centers match a
+    per-class ``mean(axis=0)`` update bit for bit at latent widths of 2 and
+    up; at width 1 they may differ from it in the last bit.
     """
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2:
@@ -114,19 +119,29 @@ def center_loss(latent, labels, state):
     loss = float(0.5 * np.sum(diff * diff) / b)
     grad = diff / b
 
+    # Batch mean of each class present. np.add.at adds the rows in batch
+    # order, as a per-class mean(axis=0) does for widths of 2 and up, so the
+    # centers match that loop bit for bit; np.add.reduceat does not, and a
+    # width-1 mean sums pairwise, so there the last bit may differ. Flat
+    # indices put add.at on its fast one-dimensional path.
+    counts = np.bincount(labels, minlength=n_classes)
+    sums = np.zeros((n_classes, dim))
+    flat = (labels.astype(np.intp)[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(sums.reshape(-1), flat, latent.ravel())
+    present = np.flatnonzero(counts)
     new_centers = state.centers.copy()
-    for c in np.unique(labels):
-        batch_mean = latent[labels == c].mean(axis=0)
-        new_centers[c] += state.update_rate * (batch_mean - new_centers[c])
-    return loss, grad, replace(state, centers=new_centers)
+    new_centers[present] += state.update_rate * (
+        sums[present] / counts[present, None] - new_centers[present]
+    )
+    return loss, grad, CenterState(new_centers, state.update_rate)
 
 
 def _check_one_hot(rows):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"one-hot labels must be 2-D, got ndim={rows.ndim}")
-    is_unit = np.all((rows == 0.0) | (rows == 1.0))
-    if not is_unit or not np.all(rows.sum(axis=1) == 1.0):
+    is_unit = ((rows == 0.0) | (rows == 1.0)).all()
+    if not is_unit or not (rows.sum(axis=1) == 1.0).all():
         bad = int(np.argmax((rows.sum(axis=1) != 1.0)
                             | np.any((rows != 0.0) & (rows != 1.0), axis=1)))
         raise DataError(f"row {bad} is not a one-hot vector")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import STREAM_INIT, generator
 
 ACTIVATIONS = ("relu", "identity")
@@ -238,22 +238,12 @@ def decide_classes(logits):
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-parameter gradients, aligned with :meth:`Network.parameters`."""
+    """Per-parameter gradients, aligned with :meth:`Network.parameters`.
+
+    Finiteness is checked where they are applied, in ``optim.sgd_step``.
+    """
 
     arrays: tuple
-
-    def __post_init__(self):
-        for a in self.arrays:
-            if not np.all(np.isfinite(a)):
-                raise NumericError("gradient contains non-finite entries")
-
-    def scaled(self, factor):
-        return GradientSet(arrays=tuple(a * factor for a in self.arrays))
-
-    def add(self, other):
-        return GradientSet(
-            arrays=tuple(a + b for a, b in zip(self.arrays, other.arrays))
-        )
 
 
 def backward(net, trace, logit_grad, latent_grad_extra):

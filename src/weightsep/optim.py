@@ -87,7 +87,7 @@ def sgd_step(params, grads, state, lr, update_mask=None, decay_mask=None):
     ):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient; aborting the step")
         if not trainable:
             new_params.append(p)

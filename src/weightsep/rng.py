@@ -12,7 +12,6 @@ import numpy as np
 STREAM_INIT = 1
 STREAM_DATA = 2
 STREAM_BATCH = 3
-STREAM_EXPERIMENT = 4
 
 _MASK64 = (1 << 64) - 1
 

@@ -53,9 +53,10 @@ def separability_metric_trace_form(w):
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Metric value plus the raw error matrix for diagnostics."""
+    """Metric value in both forms plus the raw error matrix for diagnostics."""
 
     epsilon: float
+    epsilon_trace: float
     error_matrix: np.ndarray
     n_classes: int
     m_features: int
@@ -73,14 +74,18 @@ class SeparabilityReport:
 
 
 def separability_report(w):
-    """Bundle metric and error matrix for the given weight matrix."""
-    w = as_matrix(w, "w")
+    """Both metric forms and the error matrix for the given weight matrix,
+    all from one error matrix. ``epsilon`` is the Frobenius form, as
+    :func:`separability_metric` computes it; ``epsilon_trace`` the trace form.
+    A non-finite weight or error matrix raises :class:`NumericError`."""
     e = error_matrix(w)
+    n, m = e.shape[0], np.shape(w)[0]
     return SeparabilityReport(
-        epsilon=frobenius_norm_sq(e) / e.shape[0],
+        epsilon=frobenius_norm_sq(e) / n,
+        epsilon_trace=trace(e @ e) / n,
         error_matrix=e,
-        n_classes=w.shape[1],
-        m_features=w.shape[0],
+        n_classes=n,
+        m_features=m,
     )
 
 

@@ -3,6 +3,10 @@
 The heavyweight training fixtures are session-scoped so the acceptance tests
 and the unit tests reuse the same runs instead of retraining.
 """
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +80,21 @@ def epoch_epsilons(artifact):
     for rec in artifact.records:
         by_epoch[rec.epoch] = rec.epsilon
     return np.array([by_epoch[e] for e in sorted(by_epoch)])
+
+
+def rewrite_checkpoint(src, dst, edit_header=None, edit_payload=None):
+    """Copy checkpoint ``src`` to ``dst`` with its JSON header and/or raw
+    payload bytes edited, under a valid checksum, so the edit gets past the
+    checksum to the parser."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack(">I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len].decode())
+    payload = data[12 + header_len : -4]
+    if edit_header:
+        header = edit_header(header)
+    if edit_payload:
+        payload = edit_payload(payload)
+    header_bytes = json.dumps(header).encode()
+    blob = data[:8] + struct.pack(">I", len(header_bytes)) + header_bytes
+    blob += payload
+    dst.write_bytes(blob + struct.pack(">I", zlib.crc32(blob) & 0xFFFFFFFF))

@@ -1,10 +1,11 @@
 """End-to-end checks of the command-line front end.
 
 Commands run in-process through ``cli.main`` so output and exit codes are
-easy to capture. One subprocess test runs the ``weightsep`` console script
-declared in ``pyproject.toml`` the way an installed wrapper would, against
-this checkout's ``src/``, so it needs no install. The shared fixture trains
-once on small blobs and reuses its checkpoint.
+easy to capture. Two subprocess tests run against this checkout's ``src/``
+and need no install: one runs the ``weightsep`` console script declared in
+``pyproject.toml`` the way an installed wrapper would, the other runs
+``python -m weightsep``. The shared fixture trains once on small blobs and
+reuses its checkpoint.
 """
 
 import contextlib
@@ -21,6 +22,8 @@ import pytest
 import weightsep
 from weightsep import Dataset, config_from_text, write_idx
 from weightsep.cli import main
+
+from conftest import rewrite_checkpoint
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "0,1,2",
              "--layer-dims", "32,16,3"]
@@ -182,6 +185,31 @@ def test_format_error_exits_3(tmp_path):
     assert err.startswith("error:format:")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "layers"},
+    lambda h: [h],
+], ids=["no-layers", "list"])
+def test_malformed_checkpoint_header_exits_3(train_run, tmp_path, edit):
+    _, _, run_dir = train_run
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint(run_dir / "checkpoint.bin", bad, edit_header=edit)
+    rc, _, err = run_cli(["eval-metric", str(bad)])
+    assert rc == 3
+    assert err.startswith("error:format:")
+    assert "Traceback" not in err
+
+
+def test_nonfinite_checkpoint_exits_4(train_run, tmp_path):
+    _, _, run_dir = train_run
+    bad = tmp_path / "nan.bin"
+    inf = np.array([np.inf], dtype="<f8").tobytes()
+    rewrite_checkpoint(run_dir / "checkpoint.bin", bad,
+                       edit_payload=lambda p: inf + p[8:])
+    rc, _, err = run_cli(["eval-metric", str(bad)])
+    assert rc == 4
+    assert err.startswith("error:numeric:")
+
+
 def test_missing_file_exits_5(tmp_path):
     rc, _, err = run_cli(["eval-metric", str(tmp_path / "absent.bin")])
     assert rc == 5
@@ -264,3 +292,26 @@ def test_console_script_installed():
     for name in ("train", "frozen-linearity", "loss-compare", "similarity",
                  "eval-metric", "export-pca"):
         assert name in proc.stdout
+
+
+def test_python_dash_m_runs_without_install(tmp_path):
+    # Runs this checkout's package as ``python -m weightsep``, with its src/
+    # ahead of any other weightsep on the path.
+    src = str(Path(weightsep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "weightsep", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: weightsep")
+    assert "eval-metric" in proc.stdout
+    bad = subprocess.run(
+        [sys.executable, "-m", "weightsep", "eval-metric",
+         str(tmp_path / "absent.bin")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 5
+    assert bad.stderr.startswith("error:io:")

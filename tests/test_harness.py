@@ -16,6 +16,8 @@ from weightsep import (
     write_run_artifact,
 )
 
+from conftest import rewrite_checkpoint
+
 
 def blob_config(**overrides):
     base = dict(
@@ -175,6 +177,17 @@ def test_nonfinite_loss_aborts_with_step_index(blobs_small, monkeypatch):
     assert "last finite record" in str(err.value)
 
 
+def test_epsilon_sample_rejects_overflowing_forms():
+    from weightsep.harness import _sample_epsilon
+
+    # Every entry of the error matrix and of its square is finite, but the
+    # sums of squares overflow, so both forms come out infinite.
+    with pytest.raises(ws.NumericError), np.errstate(over="ignore"):
+        _sample_epsilon(np.diag([1e77, 1e77]), 0)
+    report = _sample_epsilon(np.eye(3, 2), 0)
+    assert report.epsilon == report.epsilon_trace == 0.0
+
+
 def test_reconstruction_loss_logged(blobs_small):
     art = train(blob_config(use_reconstruction=True, epochs=2),
                 blobs_small)
@@ -252,6 +265,68 @@ def test_checkpoint_bad_magic(tmp_path, blob_run):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _drop_layers(header):
+    del header["layers"]
+    return header
+
+
+def _relabel_activation(header):
+    header["layers"][0]["activation"] = "tanh"
+    return header
+
+
+def _string_width(header):
+    header["layers"][0]["in"] = "8"
+    return header
+
+
+def _drop_bias_entry(header):
+    del header["arrays"][1]
+    return header
+
+
+def _wrong_shape(header):
+    header["arrays"][0]["shape"] = [8, 17]
+    return header
+
+
+def _huge_shape(header):
+    # 2**32 x 2**32 entries: an int64 product of the shape wraps to 0
+    return {"version": 1,
+            "layers": [{"in": 2**32, "out": 2**32, "activation": "identity"}],
+            "arrays": [{"name": "layer0.weight", "shape": [2**32, 2**32]}]}
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_layers,
+    lambda header: list(header.values()),
+    lambda header: None,
+    _relabel_activation,
+    _string_width,
+    _drop_bias_entry,
+    _wrong_shape,
+    _huge_shape,
+], ids=["no-layers", "list", "null", "bad-activation", "string-width",
+        "missing-bias", "wrong-shape", "huge-shape"])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, blob_run, mutate):
+    path = tmp_path / "model.bin"
+    save_checkpoint(blob_run.network, path)
+    rewrite_checkpoint(path, path, edit_header=mutate)
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert "header" in str(err.value)
+
+
+def test_checkpoint_nonfinite_weights_are_numeric_error(tmp_path, blob_run):
+    path = tmp_path / "model.bin"
+    save_checkpoint(blob_run.network, path)
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    rewrite_checkpoint(path, path, edit_payload=lambda p: p[:-8] + nan)
+    with pytest.raises(ws.NumericError) as err:
+        load_checkpoint(path)
+    assert "layer1.weight" in str(err.value)
 
 
 def test_checkpoint_frozen_run_preserves_init(tmp_path, blobs_small):

@@ -6,7 +6,9 @@ from weightsep import (
     CenterState,
     DataError,
     GradSeeds,
+    ShapeError,
     center_loss,
+    log_softmax,
     one_hot,
     reconstruction_loss,
     semi_orthogonal_init,
@@ -86,6 +88,26 @@ def test_ce_gradient_identity():
     assert np.max(np.abs(grad - expect)) < 1e-12
 
 
+def test_ce_gradient_bit_identical_to_dense_one_hot():
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        b, n = rng.integers(1, 40), rng.integers(2, 12)
+        logits = rng.normal(size=(b, n)) * 5
+        labels = rng.integers(0, n, size=b)
+        _, grad = softmax_cross_entropy(logits, labels)
+        dense = (np.exp(log_softmax(logits, axis=1)) - one_hot(labels, n)) / b
+        assert np.array_equal(grad, dense)
+
+
+def test_one_hot_label_checks():
+    assert np.array_equal(one_hot(np.array([2, 0]), 3),
+                          [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DataError):
+        one_hot(np.array([0, 3]), 3)
+    with pytest.raises(ShapeError):
+        one_hot(np.array([[0, 1]]), 3)
+
+
 def test_ce_label_out_of_range():
     with pytest.raises(DataError):
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
@@ -153,6 +175,62 @@ def test_center_update_moves_toward_batch_mean():
     assert np.allclose(updated.centers[1], [0.0, 4.0])
     # original state untouched
     assert np.array_equal(state.centers, np.zeros((2, 2)))
+
+
+def per_class_loop_centers(latent, labels, state):
+    """Oracle: move each class present in the batch toward its batch mean,
+    one class at a time."""
+    centers = state.centers.copy()
+    for c in np.unique(labels):
+        batch_mean = latent[labels == c].mean(axis=0)
+        centers[c] += state.update_rate * (batch_mean - centers[c])
+    return centers
+
+
+def test_center_update_matches_per_class_loop_bit_for_bit():
+    rng = np.random.default_rng(38)
+    # class 3 is absent and class 2 has a single sample
+    labels = np.array([0, 1, 0, 4, 1, 2, 0, 4, 1, 0])
+    latent = np.maximum(rng.normal(size=(10, 64)), 0.0)
+    state = CenterState(centers=rng.normal(size=(5, 64)), update_rate=0.5)
+    _, _, updated = center_loss(latent, labels, state)
+    assert np.array_equal(updated.centers,
+                          per_class_loop_centers(latent, labels, state))
+    assert np.array_equal(updated.centers[3], state.centers[3])
+    assert np.array_equal(
+        updated.centers[2], state.centers[2] + 0.5 * (latent[5] - state.centers[2])
+    )
+    # narrow label types index the same rows
+    _, _, narrow = center_loss(latent, labels.astype(np.uint8), state)
+    assert np.array_equal(narrow.centers, updated.centers)
+    # random batches at training-like sizes, widths 2 and up
+    for _ in range(50):
+        n, dim = rng.integers(2, 12), rng.integers(2, 65)
+        b = rng.integers(1, 129)
+        labels = rng.integers(0, n, size=b)
+        latent = rng.normal(size=(b, dim)) * 10.0 ** rng.uniform(-3, 3)
+        state = CenterState(centers=rng.normal(size=(n, dim)),
+                            update_rate=rng.uniform(0.1, 0.9))
+        _, _, updated = center_loss(latent, labels, state)
+        assert np.array_equal(updated.centers,
+                              per_class_loop_centers(latent, labels, state))
+    # width 1: mean(axis=0) sums a column pairwise, so only the last bit
+    # may differ from the loop
+    labels = rng.integers(0, 3, size=128)
+    latent = rng.normal(size=(128, 1))
+    state = CenterState(centers=rng.normal(size=(3, 1)), update_rate=0.5)
+    _, _, updated = center_loss(latent, labels, state)
+    assert np.allclose(updated.centers,
+                       per_class_loop_centers(latent, labels, state),
+                       rtol=0.0, atol=1e-13)
+
+
+def test_center_loss_label_checks():
+    state = CenterState.zeros(3, 2)
+    with pytest.raises(DataError):
+        center_loss(np.zeros((2, 2)), np.array([0, 3]), state)
+    with pytest.raises(ShapeError):
+        center_loss(np.zeros((2, 2)), np.array([[0], [1]]), state)
 
 
 def test_center_loss_finite_differences():

@@ -121,6 +121,17 @@ def test_report_fields_consistent():
     assert rec["n_classes"] == 4
 
 
+def test_report_carries_both_forms_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        w = rng.normal(size=(64, 10)) * rng.uniform(0.1, 3.0)
+        rep = separability_report(w)
+        assert rep.epsilon == separability_metric(w)
+        assert rep.epsilon_trace == separability_metric_trace_form(w)
+    with pytest.raises(OrientationError):
+        separability_report(rng.normal(size=(3, 5)))
+
+
 def test_epsilon_formatting_three_significant_digits():
     assert format_epsilon(6.5542e-08) == "6.55e-08"
     assert format_epsilon(0.0) == "0.00e+00"
