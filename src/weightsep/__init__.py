@@ -58,8 +58,6 @@ from .linalg import (
 )
 from .losses import (
     CenterState,
-    GradSeeds,
-    LossValue,
     center_loss,
     log_softmax,
     one_hot,
@@ -70,7 +68,6 @@ from .losses import (
 )
 from .network import (
     ForwardTrace,
-    GradientSet,
     LayerSpec,
     Network,
     NetworkSpec,

@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
     WeightsepError,
 )
-from .harness import TrainConfig
+from .network import FINAL_INITS
 from .separability import format_epsilon, separability_metric, separability_metric_trace_form
 
 DATA_DIR_ENV = "WEIGHTSEP_DATA_DIR"
@@ -88,8 +88,7 @@ def _config_args(parser, seed_required):
     parser.add_argument("--momentum", type=float, default=None)
     parser.add_argument("--weight-decay", type=float, default=None)
     parser.add_argument("--freeze-final", action="store_true", default=None)
-    parser.add_argument("--final-init", choices=("uniform_scaled",
-                        "semi_orthogonal", "uniform_unit"), default=None)
+    parser.add_argument("--final-init", choices=FINAL_INITS, default=None)
 
 
 def _parse_int_list(text):
@@ -144,12 +143,7 @@ def build_config(args, train_ds, source):
         with open(args.config) as f:
             config = harness.config_from_text(f.read())
     else:
-        config = TrainConfig(
-            layer_dims=(train_ds.dim, 64, train_ds.n_classes),
-            epochs=30,
-            seed=0,
-            milestones=(15, 25),
-        )
+        config = harness.default_config(train_ds, seed=0)
     overrides = {}
     for key in (
         "epochs", "seed", "loss", "use_reconstruction", "lam", "batch_size",

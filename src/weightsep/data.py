@@ -11,6 +11,7 @@ real digit files are not on disk.
 """
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -59,8 +60,20 @@ class Dataset:
         return self.features.shape[1]
 
 
+# Payloads are read in pieces of at most this many bytes, so a header
+# promising more than the stream holds never triggers one huge allocation.
+READ_CHUNK = 1 << 20
+
+
 def _read_exact(f, count, path, what):
-    data = f.read(count)
+    """Read ``count`` bytes in bounded chunks: a header promising a huge
+    payload fails as truncated, not in one huge allocation, on any stream."""
+    data = bytearray()
+    while len(data) < count:
+        chunk = f.read(min(READ_CHUNK, count - len(data)))
+        if not chunk:
+            break
+        data += chunk
     if len(data) != count:
         raise FormatError(
             f"{path}: truncated while reading {what} "
@@ -86,8 +99,7 @@ def _read_idx_array(path, expected_magic, n_dims, what):
         dims = struct.unpack(
             f">{n_dims}I", _read_exact(f, 4 * n_dims, path, "dimensions")
         )
-        total = int(np.prod(dims))
-        payload = _read_exact(f, total, path, "payload")
+        payload = _read_exact(f, math.prod(dims), path, "payload")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     return dims, np.frombuffer(payload, dtype=np.uint8)

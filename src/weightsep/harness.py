@@ -102,6 +102,17 @@ class TrainConfig:
         return mlp_spec(self.layer_dims)
 
 
+def default_config(ds, seed):
+    """The desk-scale recipe for ``ds``: one hidden layer of 64 units, 30
+    epochs, the learning rate dropping at epochs 15 and 25."""
+    return TrainConfig(
+        layer_dims=(ds.dim, 64, ds.n_classes),
+        epochs=30,
+        seed=seed,
+        milestones=(15, 25),
+    )
+
+
 @dataclass(frozen=True)
 class MetricRecord:
     step: int
@@ -192,46 +203,35 @@ def train(config, ds, eval_ds=None):
             logits = trace.logits
             latent = trace.latent
 
-            ce, ce_grad = losses.softmax_cross_entropy(logits, labels)
-            cls_value = ce
-            cls_latent_grad = None
+            cls_value, ce_grad = losses.softmax_cross_entropy(logits, labels)
+            latent_grad = None
             if centers is not None:
-                c_value, c_grad, centers = losses.center_loss(
+                c_value, latent_grad, centers = losses.center_loss(
                     latent, labels, centers
                 )
                 cls_value += c_value
-                cls_latent_grad = c_grad
-            cls_seeds = losses.GradSeeds(
-                logit_grad=ce_grad, latent_grad=cls_latent_grad
-            )
 
             re_value = 0.0
-            re_seeds = losses.GradSeeds()
+            w_grad = None
             if config.use_reconstruction:
                 onehot = losses.one_hot(labels, spec.n_classes)
                 re_value, re_latent, re_w = losses.reconstruction_loss(
                     latent, onehot, net.final_weight
                 )
-                re_seeds = losses.GradSeeds(latent_grad=re_latent, w_grad=re_w)
+                re_latent = config.lam * re_latent
+                latent_grad = (
+                    re_latent if latent_grad is None else latent_grad + re_latent
+                )
+                w_grad = config.lam * re_w
 
-            value, seeds = losses.total_loss(
-                cls_value, cls_seeds, re_value, re_seeds, config.lam
-            )
-            if not np.isfinite(value.total):
+            total = losses.total_loss(cls_value, re_value, config.lam)
+            if not np.isfinite(total):
                 last = records[-1] if records else None
                 raise NumericError(
                     f"non-finite loss at step {step}; last finite record: {last}"
                 )
 
-            latent_extra = (
-                seeds.latent_grad
-                if seeds.latent_grad is not None
-                else np.zeros_like(latent)
-            )
-            grads = backward(net, trace, seeds.logit_grad, latent_extra).arrays
-            if seeds.w_grad is not None:
-                grads = grads[:-1] + (grads[-1] + seeds.w_grad,)
-
+            grads = backward(net, trace, ce_grad, latent_grad, w_grad)
             params, state = optim.sgd_step(
                 params, grads, state, lr, update_mask, decay_mask
             )
@@ -243,9 +243,9 @@ def train(config, ds, eval_ds=None):
                 MetricRecord(
                     step=step,
                     epoch=epoch,
-                    loss_cls=value.cls,
-                    loss_re=value.re,
-                    loss_total=value.total,
+                    loss_cls=cls_value,
+                    loss_re=re_value,
+                    loss_total=total,
                     train_accuracy=batch_acc,
                     epsilon=report.epsilon,
                 )
@@ -296,12 +296,7 @@ def experiment_frozen_linearity(train_ds, test_ds, seed, config=None):
     test accuracies, both separability scores, and 3-D projections of the
     test latents."""
     if config is None:
-        config = TrainConfig(
-            layer_dims=(train_ds.dim, 64, train_ds.n_classes),
-            epochs=30,
-            seed=seed,
-            milestones=(15, 25),
-        )
+        config = default_config(train_ds, seed)
     arms = []
     for name, final_init in (
         ("orthonormal", "semi_orthogonal"),
@@ -362,12 +357,7 @@ def experiment_loss_comparison(train_ds, test_ds, seeds, config=None):
     if not seeds:
         raise ConfigError("need at least one seed")
     if config is None:
-        config = TrainConfig(
-            layer_dims=(train_ds.dim, 64, train_ds.n_classes),
-            epochs=30,
-            seed=seeds[0],
-            milestones=(15, 25),
-        )
+        config = default_config(train_ds, seeds[0])
     cells = []
     for loss in LOSS_KINDS:
         for use_re in (False, True):

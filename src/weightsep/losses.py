@@ -186,54 +186,8 @@ def reconstruction_loss(latent, onehot_labels, w):
     return loss, latent_grad, w_grad
 
 
-@dataclass(frozen=True)
-class LossValue:
-    """Classification and reconstruction parts of one training step's loss."""
-
-    cls: float
-    re: float
-    total: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class GradSeeds:
-    """Gradient seeds feeding the backward pass: dloss/dlogits, the extra
-    dloss/dlatent injected at the decision-layer input, and the direct
-    dloss/dfinal_weight term. Any field may be None (treated as zero)."""
-
-    logit_grad: np.ndarray = None
-    latent_grad: np.ndarray = None
-    w_grad: np.ndarray = None
-
-
-def _merge(a, b, scale):
-    if a is None and b is None:
-        return None
-    if a is None:
-        return scale * b
-    if b is None:
-        return a
-    return a + scale * b
-
-
-def total_loss(cls_value, cls_seeds, re_value, re_seeds, lam):
-    """Combine classification and reconstruction objectives.
-
-    total = cls + lam * re; the merged seeds add the reconstruction seeds
-    scaled by ``lam`` onto the classification seeds.
-    """
+def total_loss(cls_value, re_value, lam):
+    """The training objective: cls + lam * re, as a float."""
     if lam < 0:
         raise DataError(f"loss weight must be non-negative, got {lam}")
-    value = LossValue(
-        cls=float(cls_value),
-        re=float(re_value),
-        total=float(cls_value) + lam * float(re_value),
-        lam=float(lam),
-    )
-    merged = GradSeeds(
-        logit_grad=_merge(cls_seeds.logit_grad, re_seeds.logit_grad, lam),
-        latent_grad=_merge(cls_seeds.latent_grad, re_seeds.latent_grad, lam),
-        w_grad=_merge(cls_seeds.w_grad, re_seeds.w_grad, lam),
-    )
-    return value, merged
+    return float(cls_value) + lam * float(re_value)

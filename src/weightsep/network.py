@@ -236,39 +236,25 @@ def decide_classes(logits):
     return np.argmax(logits, axis=1)
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """Per-parameter gradients, aligned with :meth:`Network.parameters`.
-
-    Finiteness is checked where they are applied, in ``optim.sgd_step``.
-    """
-
-    arrays: tuple
+def _as_seed(name, grad, shape):
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != shape:
+        raise ShapeError(f"backward: {name} shape {grad.shape} != {shape}")
+    return grad
 
 
-def backward(net, trace, logit_grad, latent_grad_extra):
+def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     """Reverse-mode gradients for a scalar loss with the given seeds.
 
-    ``logit_grad`` is dLoss/dlogits (batch x n); ``latent_grad_extra`` is an
-    additional dLoss/dlatent term (batch x m) injected at the decision-layer
-    input, zero when unused. Any loss term that differentiates directly with
-    respect to the final weight (rather than through the logits) is not
-    included here and must be summed into the result by the caller.
+    ``logit_grad`` is dLoss/dlogits (batch x n). ``latent_grad`` is an extra
+    dLoss/dlatent (batch x m) injected at the decision-layer input, and
+    ``w_grad`` a direct dLoss/dfinal_weight (m x n) added to the decision
+    layer's gradient; either may be None. Returns a tuple aligned with
+    :meth:`Network.parameters`.
     """
-    logit_grad = np.asarray(logit_grad, dtype=np.float64)
-    latent_grad_extra = np.asarray(latent_grad_extra, dtype=np.float64)
     batch = trace.inputs
     n_layers = len(net.spec.layers)
-    if logit_grad.shape != trace.logits.shape:
-        raise ShapeError(
-            f"backward: logit_grad shape {logit_grad.shape} != "
-            f"logits shape {trace.logits.shape}"
-        )
-    if latent_grad_extra.shape != (batch.shape[0], net.spec.latent_dim):
-        raise ShapeError(
-            f"backward: latent_grad_extra shape {latent_grad_extra.shape} != "
-            f"({batch.shape[0]}, {net.spec.latent_dim})"
-        )
+    logit_grad = _as_seed("logit_grad", logit_grad, trace.logits.shape)
 
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
@@ -276,7 +262,13 @@ def backward(net, trace, logit_grad, latent_grad_extra):
     # Decision layer: identity activation, no bias.
     latent = trace.latent
     grad_w[-1] = latent.T @ logit_grad
-    delta = logit_grad @ net.weights[-1].T + latent_grad_extra
+    if w_grad is not None:
+        grad_w[-1] = grad_w[-1] + _as_seed(
+            "w_grad", w_grad, net.final_weight.shape
+        )
+    delta = logit_grad @ net.weights[-1].T
+    if latent_grad is not None:
+        delta = delta + _as_seed("latent_grad", latent_grad, latent.shape)
 
     for k in range(n_layers - 2, -1, -1):
         layer = net.spec.layers[k]
@@ -287,9 +279,9 @@ def backward(net, trace, logit_grad, latent_grad_extra):
         grad_b[k] = delta.sum(axis=0)
         delta = delta @ net.weights[k].T
 
-    arrays = []
-    for k in range(n_layers):
-        arrays.append(grad_w[k])
-        if grad_b[k] is not None:
-            arrays.append(grad_b[k])
-    return GradientSet(arrays=tuple(arrays))
+    grads = []
+    for w, b in zip(grad_w, grad_b):
+        grads.append(w)
+        if b is not None:
+            grads.append(b)
+    return tuple(grads)

@@ -12,6 +12,7 @@ import contextlib
 import io
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,18 @@ def test_missing_data_dir_mentions_fetch_url(tmp_path):
     )
     assert rc == 3
     assert "http" in err
+
+
+def test_oversized_idx_header_exits_3(tmp_path):
+    author_digit_dir(tmp_path)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x00000803, 100000, 65536, 65536) + bytes(16))
+    rc, _, err = run_cli(
+        ["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")]
+    )
+    assert rc == 3
+    assert err.startswith("error:format:")
+    assert "Traceback" not in err
 
 
 def declared_console_script(name):

@@ -1,5 +1,8 @@
 import gzip
+import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -72,6 +75,39 @@ def test_trailing_garbage_rejected(tmp_path):
         f.write(b"x")
     with pytest.raises(FormatError):
         read_idx(img, lab)
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("dims, payload", [
+    ((100000, 65536, 65536), 16),
+    # 2 * 2147549185 * 4294836226 is 2**64 + 4: int64 wraps it to 4
+    ((2, 2147549185, 4294836226), 4),
+], ids=["huge", "wraps-int64"])
+def test_header_promising_more_than_the_file_holds(tmp_path, gz, dims,
+                                                     payload):
+    _, lab = author_idx_pair(tmp_path, [7] * 8, [0, 1], rows=2, cols=2)
+    data = struct.pack(">IIII", 0x00000803, *dims) + bytes(payload)
+    img = tmp_path / ("img.idx.gz" if gz else "img.idx")
+    img.write_bytes(gzip.compress(data) if gz else data)
+    with pytest.raises(FormatError) as err:
+        read_idx(img, lab)
+    assert "truncated" in str(err.value)
+    assert (f"wanted {math.prod(dims)} bytes, got {payload})"
+            in str(err.value))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reads_from_a_non_seekable_stream(tmp_path):
+    pixels = [0, 51, 102, 153, 204, 255, 0, 255]
+    img, lab = author_idx_pair(tmp_path, pixels, [3, 1], rows=2, cols=2)
+    fifo = tmp_path / "img.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes(img.read_bytes()), daemon=True)
+    writer.start()
+    ds = read_idx(fifo, lab)
+    writer.join(timeout=5)
+    assert np.array_equal(ds.features, read_idx(img, lab).features)
 
 
 def test_count_mismatch_between_files(tmp_path):

@@ -2,7 +2,8 @@
 
 Each case trains a short fixed config and compares the sha256 of the
 rendered ``metrics.csv`` and of the saved checkpoint with values recorded
-before the training step was optimised. Any change to the step's
+before the training step was optimised (the plain cross-entropy case: before
+``backward`` took every gradient seed). Any change to the step's
 arithmetic, even in the last bit of one loss value, changes a hash.
 
 OpenBLAS splits the larger matrix products of the digits recipe across
@@ -32,6 +33,13 @@ import weightsep as ws
 BLOBS_SHA256 = (
     "af1ac31d37ac66726b40da2f35e5d340f4db4987e904d2019a887dfc3e5e018a",
     "2d2c118ca378380b9c3fdc58d118fb5bd7b034f81494ad2345ae54e7b35a025a",
+)
+
+# Plain cross-entropy on the same blobs: no center term and no
+# reconstruction, so backward runs without a latent or final-weight seed.
+BLOBS_CE_SHA256 = (
+    "6a388e6e465a8eb7ea622bc9ec410fe8f113c5a42cd805ded7c4ec760f77155a",
+    "0d59c5c558e4fc232bd9c75d300154cde83482bb7bfb6749d74c3700e7460142",
 )
 
 # The criterion-5 trend recipe with the reconstruction term, cut to 2 epochs.
@@ -71,7 +79,7 @@ def run_hashes(artifact):
 
 
 def golden_runs():
-    """Train both cases; step counts and hashes keyed by case name, and
+    """Train every case; step counts and hashes keyed by case name, and
     the BLAS build under ``"blas"``."""
     from conftest import trend_config
 
@@ -85,11 +93,14 @@ def golden_runs():
         use_reconstruction=True,
         batch_size=32,
     )
+    blobs_ce_cfg = ws.TrainConfig(layer_dims=(32, 64, 10), epochs=3, seed=5,
+                                  batch_size=32)
     digits_train = ws.synth_digits(per_class=512, seed=11)
     digits_test = ws.synth_digits(per_class=100, seed=1_000_014)
     out = {}
     for name, art in (
         ("blobs", ws.train(blobs_cfg, blobs)),
+        ("blobs_ce", ws.train(blobs_ce_cfg, blobs)),
         ("digits", ws.train(trend_config(1, epochs=2), digits_train,
                             eval_ds=digits_test)),
     ):
@@ -131,6 +142,11 @@ def assert_hashes(golden, case, expected):
 def test_golden_blobs_center_reconstruction(golden):
     assert golden["blobs"]["steps"] == 3 * 13
     assert_hashes(golden, "blobs", BLOBS_SHA256)
+
+
+def test_golden_blobs_plain_cross_entropy(golden):
+    assert golden["blobs_ce"]["steps"] == 3 * 13
+    assert_hashes(golden, "blobs_ce", BLOBS_CE_SHA256)
 
 
 def test_golden_digits_reconstruction(golden):

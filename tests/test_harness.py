@@ -64,6 +64,12 @@ def test_config_defaults_match_published_recipe():
     assert abs(ws.lr_at(sched, 250) - 1e-4) < 1e-18
 
 
+def test_default_config_is_the_desk_scale_recipe(blobs_small):
+    cfg = ws.harness.default_config(blobs_small, seed=4)
+    assert cfg == TrainConfig(layer_dims=(8, 64, 3), epochs=30, seed=4,
+                              milestones=(15, 25))
+
+
 def test_config_text_round_trip():
     cfg = blob_config(use_reconstruction=True, class_filter=(0, 2))
     text = config_to_text(cfg)
@@ -156,19 +162,15 @@ def test_eval_accuracy_logged_per_epoch(blobs_small):
 
 
 def test_nonfinite_loss_aborts_with_step_index(blobs_small, monkeypatch):
-    import dataclasses
-
     from weightsep.harness import losses as loss_mod
 
     real = loss_mod.total_loss
     calls = {"n": 0}
 
     def poisoned(*args, **kwargs):
-        value, seeds = real(*args, **kwargs)
+        total = real(*args, **kwargs)
         calls["n"] += 1
-        if calls["n"] == 3:
-            value = dataclasses.replace(value, total=float("nan"))
-        return value, seeds
+        return float("nan") if calls["n"] == 3 else total
 
     monkeypatch.setattr(loss_mod, "total_loss", poisoned)
     with pytest.raises(ws.NumericError) as err:
@@ -194,6 +196,50 @@ def test_reconstruction_loss_logged(blobs_small):
     assert any(r.loss_re > 0 for r in art.records)
     off = train(blob_config(epochs=2), blobs_small)
     assert all(r.loss_re == 0.0 for r in off.records)
+
+
+def test_train_step_composes_gradient_seeds(blobs_small):
+    """One full-batch step of CE + center + reconstruction is backward fed
+    dL/dlogits, center + lam * reconstruction dL/dlatent and lam times the
+    reconstruction dL/dW, then one SGD update."""
+    cfg = blob_config(epochs=1, batch_size=len(blobs_small), lam=0.3,
+                      loss="softmax_ce_plus_center", use_reconstruction=True)
+    art = train(cfg, blobs_small)
+    assert len(art.records) == 1
+
+    spec = cfg.network_spec()
+    net = ws.init_network(spec, cfg.seed)
+    plan = ws.BatchPlan(batch_size=cfg.batch_size, seed=cfg.seed)
+    feats, labels = next(ws.batches(blobs_small, plan, 0))
+    tr = ws.forward(net, feats)
+    ce, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
+    centers = ws.CenterState.zeros(spec.n_classes, spec.latent_dim,
+                                   cfg.center_rate)
+    c, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
+    re, re_latent, re_w = ws.reconstruction_loss(
+        tr.latent, ws.one_hot(labels, spec.n_classes), net.final_weight)
+    grads = ws.backward(net, tr, logit_grad, center_grad + cfg.lam * re_latent,
+                        cfg.lam * re_w)
+    params = net.parameters()
+    state = ws.SgdState.for_params(params, cfg.momentum, cfg.weight_decay)
+    params, _ = ws.sgd_step(params, grads, state, cfg.base_lr,
+                            ws.freeze_mask(net, False), ws.decay_mask(net))
+    for x, y in zip(art.network.parameters(), params):
+        assert np.array_equal(x, y)
+    rec = art.records[0]
+    assert (rec.loss_cls, rec.loss_re) == (ce + c, re)
+    assert rec.loss_total == ce + c + cfg.lam * re
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "softmax_ce_plus_center"])
+def test_zero_lambda_drops_reconstruction_gradients(blobs_small, loss):
+    off = train(blob_config(epochs=2, loss=loss), blobs_small)
+    on = train(blob_config(epochs=2, loss=loss, use_reconstruction=True,
+                           lam=0.0), blobs_small)
+    for x, y in zip(off.network.parameters(), on.network.parameters()):
+        assert np.array_equal(x, y)
+    assert any(r.loss_re > 0 for r in on.records)
+    assert all(r.loss_total == r.loss_cls for r in on.records)
 
 
 # --- metrics CSV ------------------------------------------------------

@@ -155,7 +155,8 @@ def test_zero_seeds_give_zero_gradients():
     batch = np.random.default_rng(16).normal(size=(2, 4))
     tr = forward(net, batch)
     grads = backward(net, tr, np.zeros((2, 3)), np.zeros((2, 6)))
-    for g in grads.arrays:
+    assert len(grads) == len(net.parameters())
+    for g in grads:
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -167,7 +168,7 @@ def test_single_linear_layer_gradient():
     tr = forward(net, batch)
     grads = backward(net, tr, np.ones((4, 2)), np.zeros((4, 3)))
     expect = batch.T @ np.ones((4, 2))
-    assert np.max(np.abs(grads.arrays[0] - expect)) < 1e-12
+    assert np.max(np.abs(grads[0] - expect)) < 1e-12
 
 
 def central_difference(f, x, h=1e-5):
@@ -210,7 +211,7 @@ def test_backward_matches_finite_differences():
             val, _ = ws.softmax_cross_entropy(t.logits, labels)
             return val
 
-        for p, g in zip(params, grads.arrays):
+        for p, g in zip(params, grads):
             fd = central_difference(loss, p)
             assert relative_error(fd, g) < 1e-4
 
@@ -222,6 +223,75 @@ def test_backward_shape_checks():
         backward(net, tr, np.zeros((2, 5)), np.zeros((2, 6)))
     with pytest.raises(ShapeError):
         backward(net, tr, np.zeros((2, 3)), np.zeros((2, 7)))
+    with pytest.raises(ShapeError):
+        backward(net, tr, np.zeros((2, 3)), latent_grad=np.zeros((3, 6)))
+    with pytest.raises(ShapeError):
+        backward(net, tr, np.zeros((2, 3)), w_grad=np.zeros((6, 4)))
+    with pytest.raises(ShapeError):
+        backward(net, tr, np.zeros((2, 3)), w_grad=np.zeros((3, 6)))
+
+
+def test_backward_final_weight_seed_adds_to_decision_gradient():
+    net = tiny_net((5, 7, 4), seed=23)
+    rng = np.random.default_rng(24)
+    tr = forward(net, rng.normal(size=(3, 5)))
+    logit_grad = rng.normal(size=(3, 4))
+    latent_grad = rng.normal(size=(3, 7))
+    w_grad = rng.normal(size=(7, 4))
+    plain = backward(net, tr, logit_grad, latent_grad)
+    seeded = backward(net, tr, logit_grad, latent_grad, w_grad=w_grad)
+    assert np.array_equal(seeded[-1], plain[-1] + w_grad)
+    for x, y in zip(seeded[:-1], plain[:-1]):
+        assert np.array_equal(x, y)
+
+
+def test_backward_without_latent_seed_equals_zero_seed():
+    net = tiny_net((5, 7, 6, 4), seed=25)
+    rng = np.random.default_rng(26)
+    tr = forward(net, rng.normal(size=(3, 5)))
+    logit_grad = rng.normal(size=(3, 4))
+    omitted = backward(net, tr, logit_grad)
+    zeros = backward(net, tr, logit_grad, np.zeros_like(tr.latent))
+    assert len(omitted) == len(zeros) == len(net.parameters())
+    for x, y in zip(omitted, zeros):
+        assert np.array_equal(x, y)
+
+
+def test_backward_all_seeds_match_finite_differences():
+    """CE + center + lam * reconstruction through a two-hidden-layer relu
+    net: the three seeds reach every parameter, the final weight included."""
+    rng = np.random.default_rng(27)
+    lam = 0.3  # large enough that the reconstruction part shows in the check
+    for trial in range(3):
+        net = tiny_net((6, 9, 5, 4), seed=trial)
+        batch = rng.normal(size=(3, 6))
+        labels = rng.integers(0, 4, size=3)
+        onehot = ws.one_hot(labels, 4)
+        centers = ws.CenterState(centers=rng.normal(size=(4, 5)))
+
+        tr = forward(net, batch)
+        _, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
+        _, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
+        _, re_latent, re_w = ws.reconstruction_loss(
+            tr.latent, onehot, net.final_weight
+        )
+        grads = backward(net, tr, logit_grad, center_grad + lam * re_latent,
+                         lam * re_w)
+
+        params = [p.copy() for p in net.parameters()]
+        live = net.replace_parameters(params)
+
+        def loss():
+            t = forward(live, batch)
+            return (ws.softmax_cross_entropy(t.logits, labels)[0]
+                    + ws.center_loss(t.latent, labels, centers)[0]
+                    + lam * ws.reconstruction_loss(
+                        t.latent, onehot, live.final_weight)[0])
+
+        assert len(grads) == len(params)
+        for p, g in zip(params, grads):
+            fd = central_difference(loss, p)
+            assert relative_error(fd, g) < 1e-4
 
 
 def test_forward_backward_deterministic():
@@ -235,7 +305,7 @@ def test_forward_backward_deterministic():
         return backward(net, tr, g, np.zeros_like(tr.latent))
 
     a, b = once(), once()
-    for x, y in zip(a.arrays, b.arrays):
+    for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
