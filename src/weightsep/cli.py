@@ -98,6 +98,13 @@ def _parse_int_list(text):
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
 
 
+def _parse_nonempty_int_list(text, flag):
+    values = _parse_int_list(text)
+    if not values:
+        raise ConfigError(f"{flag} needs at least one integer, got {text!r}")
+    return values
+
+
 def _slice_dataset(ds, index):
     return Dataset(
         features=ds.features[index],
@@ -154,7 +161,9 @@ def build_config(args, train_ds, source):
         if value is not None:
             overrides[key] = value
     if args.layer_dims is not None:
-        overrides["layer_dims"] = _parse_int_list(args.layer_dims)
+        overrides["layer_dims"] = _parse_nonempty_int_list(
+            args.layer_dims, "--layer-dims"
+        )
     if args.milestones is not None:
         overrides["milestones"] = _parse_int_list(args.milestones)
     overrides["data_source"] = str(source)
@@ -213,7 +222,7 @@ def cmd_frozen_linearity(args):
 
 
 def cmd_loss_compare(args):
-    seeds = _parse_int_list(args.seeds)
+    seeds = _parse_nonempty_int_list(args.seeds, "--seeds")
     source, train_ds, test_ds = resolve_datasets(args, seeds[0])
     config = build_config(args, train_ds, source)
     result = harness.experiment_loss_comparison(

@@ -480,9 +480,22 @@ def metrics_to_csv(records):
     return buf.getvalue()
 
 
+def _write_atomic(path, data):
+    """Write the bytes ``data`` to ``path`` through a temporary file in the
+    same directory and :func:`os.replace`, so a write that fails part-way
+    leaves any earlier file at ``path`` intact and no partial file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_metrics_csv(records, path):
-    with open(path, "w", newline="") as f:
-        f.write(metrics_to_csv(records))
+    _write_atomic(path, metrics_to_csv(records).encode())
 
 
 # Checkpoint container: magic, version, JSON header describing the layer
@@ -502,8 +515,8 @@ def save_checkpoint(net, path):
             for l in net.spec.layers
         ],
         "arrays": [
-            {"name": name, "shape": list(arr.shape)}
-            for name, arr in zip(net.parameter_names(), net.parameters())
+            {"name": name, "shape": list(shape)}
+            for name, shape, _ in net.spec.parameter_layout()
         ],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -514,8 +527,7 @@ def save_checkpoint(net, path):
     for arr in net.parameters():
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += struct.pack(">I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    _write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path):
@@ -560,8 +572,7 @@ def load_checkpoint(path):
         offset = end
     if offset != len(blob) - 4:
         raise FormatError(f"{path}: payload longer than header promises")
-    # Flat order is [W0, b0, W1, b1, ..., W_last]; the final layer has no bias.
-    return Network(spec, params[0::2], params[1::2] + [None])
+    return Network(spec, params)
 
 
 def _is_dim(value):
@@ -592,11 +603,9 @@ def _checkpoint_layout(header, path):
     except ConfigError as e:
         raise malformed(str(e)) from e
 
-    expected = []
-    for k, layer in enumerate(spec.layers):
-        expected.append((f"layer{k}.weight", [layer.in_dim, layer.out_dim]))
-        if k < len(spec.layers) - 1:
-            expected.append((f"layer{k}.bias", [layer.out_dim]))
+    expected = [
+        (name, list(shape)) for name, shape, _ in spec.parameter_layout()
+    ]
     promised = [
         (a.get("name"), a.get("shape")) if isinstance(a, dict) else a
         for a in arrays
@@ -648,7 +657,9 @@ def config_from_text(text):
 def write_run_artifact(artifact, out_dir):
     """Persist a run: config snapshot, metric CSV, and final checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as f:
-        f.write(config_to_text(artifact.config))
+    _write_atomic(
+        os.path.join(out_dir, "config.txt"),
+        config_to_text(artifact.config).encode(),
+    )
     write_metrics_csv(artifact.records, os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(artifact.network, os.path.join(out_dir, "checkpoint.bin"))

@@ -62,6 +62,19 @@ class NetworkSpec:
     def n_classes(self):
         return self.layers[-1].out_dim
 
+    def parameter_layout(self):
+        """``(name, shape, is_weight)`` of each parameter in flat order,
+        ``[W0, b0, W1, b1, ..., W_last]``: every layer's weight, then its bias
+        unless it is the decision layer. The one statement of that order."""
+        last = len(self.layers) - 1
+        out = []
+        for k, layer in enumerate(self.layers):
+            shape = (layer.in_dim, layer.out_dim)
+            out.append((f"layer{k}.weight", shape, True))
+            if k < last:
+                out.append((f"layer{k}.bias", (layer.out_dim,), False))
+        return out
+
 
 def mlp_spec(dims):
     """Spec for a relu MLP: ``dims`` lists layer widths input-first.
@@ -79,70 +92,40 @@ def mlp_spec(dims):
 
 
 class Network:
-    """Parameter set for a :class:`NetworkSpec`.
+    """Parameter set for a :class:`NetworkSpec`, built from the flat list
+    its :meth:`NetworkSpec.parameter_layout` describes.
 
     ``weights[k]`` is (in_dim x out_dim) for layer k; ``biases[k]`` is a
     vector for hidden layers and ``None`` for the final layer.
     """
 
-    def __init__(self, spec, weights, biases):
-        if len(weights) != len(spec.layers) or len(biases) != len(spec.layers):
-            raise ShapeError("parameter count does not match layer count")
-        for k, (layer, w) in enumerate(zip(spec.layers, weights)):
-            if w.shape != (layer.in_dim, layer.out_dim):
-                raise ShapeError(
-                    f"layer {k}: weight shape {w.shape} != "
-                    f"({layer.in_dim}, {layer.out_dim})"
-                )
-        if biases[-1] is not None:
-            raise ShapeError("final layer carries no bias")
-        for k, (layer, b) in enumerate(zip(spec.layers[:-1], biases[:-1])):
-            if b is None or b.shape != (layer.out_dim,):
-                raise ShapeError(f"layer {k}: bad bias for width {layer.out_dim}")
+    def __init__(self, spec, params):
+        layout = spec.parameter_layout()
+        params = [np.asarray(p, dtype=np.float64) for p in params]
+        if len(params) != len(layout):
+            raise ShapeError(
+                f"{len(params)} parameters for a layout of {len(layout)}"
+            )
+        for (name, shape, _), p in zip(layout, params):
+            if p.shape != shape:
+                raise ShapeError(f"{name}: shape {p.shape} != {shape}")
         self.spec = spec
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [
-            None if b is None else np.asarray(b, dtype=np.float64) for b in biases
-        ]
+        self._params = tuple(params)
+        self.weights = [p for p, (_, _, w) in zip(params, layout) if w]
+        self.biases = [p for p, (_, _, w) in zip(params, layout) if not w]
+        self.biases.append(None)
 
     @property
     def final_weight(self):
         return self.weights[-1]
 
     def parameters(self):
-        """Flat parameter list: [W0, b0, W1, b1, ..., W_last]."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            if b is not None:
-                out.append(b)
-        return out
-
-    def parameter_names(self):
-        out = []
-        for k, b in enumerate(self.biases):
-            out.append(f"layer{k}.weight")
-            if b is not None:
-                out.append(f"layer{k}.bias")
-        return out
-
-    def parameter_kinds(self):
-        """"weight" or "bias" per entry of :meth:`parameters`."""
-        out = []
-        for b in self.biases:
-            out.append("weight")
-            if b is not None:
-                out.append("bias")
-        return out
+        """Flat parameter list in :meth:`NetworkSpec.parameter_layout` order."""
+        return list(self._params)
 
     def replace_parameters(self, params):
         """New Network with the same spec and the given flat parameter list."""
-        weights, biases = [], []
-        it = iter(params)
-        for b in self.biases:
-            weights.append(next(it))
-            biases.append(None if b is None else next(it))
-        return Network(self.spec, weights, biases)
+        return Network(self.spec, params)
 
 
 def init_network(spec, seed, final_init="uniform_scaled"):
@@ -154,7 +137,7 @@ def init_network(spec, seed, final_init="uniform_scaled"):
     """
     if final_init not in FINAL_INITS:
         raise ConfigError(f"unknown final_init {final_init!r}")
-    weights, biases = [], []
+    weights = []
     n_layers = len(spec.layers)
     for k, layer in enumerate(spec.layers):
         rand = generator(seed, STREAM_INIT, k)
@@ -171,17 +154,19 @@ def init_network(spec, seed, final_init="uniform_scaled"):
             bound = 1.0 / np.sqrt(layer.in_dim)
             w = rand.uniform(-bound, bound, size=(layer.in_dim, layer.out_dim))
         weights.append(w)
-        biases.append(None if is_final else np.zeros(layer.out_dim))
-    return Network(spec, weights, biases)
+    it = iter(weights)
+    return Network(spec, [
+        next(it) if is_weight else np.zeros(shape)
+        for _, shape, is_weight in spec.parameter_layout()
+    ])
 
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything the backward pass needs: the input batch, per-layer
-    pre-activations, and per-layer activations (post-nonlinearity)."""
+    """Everything the backward pass needs: the input batch and per-layer
+    activations (post-nonlinearity)."""
 
     inputs: np.ndarray
-    pre_activations: tuple
     activations: tuple
 
     @property
@@ -207,17 +192,14 @@ def forward(net, batch):
             f"input dim {net.spec.input_dim}"
         )
     a = batch
-    pres, acts = [], []
+    acts = []
     for layer, w, b in zip(net.spec.layers, net.weights, net.biases):
         z = a @ w
         if b is not None:
             z = z + b
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        pres.append(z)
         acts.append(a)
-    return ForwardTrace(
-        inputs=batch, pre_activations=tuple(pres), activations=tuple(acts)
-    )
+    return ForwardTrace(inputs=batch, activations=tuple(acts))
 
 
 def decide_class(latent, w):
@@ -253,35 +235,26 @@ def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     :meth:`Network.parameters`.
     """
     batch = trace.inputs
-    n_layers = len(net.spec.layers)
     logit_grad = _as_seed("logit_grad", logit_grad, trace.logits.shape)
 
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
-
-    # Decision layer: identity activation, no bias.
+    # Decision layer: identity activation, no bias. Gradients are collected
+    # last parameter first and reversed once at the end.
     latent = trace.latent
-    grad_w[-1] = latent.T @ logit_grad
+    grad = latent.T @ logit_grad
     if w_grad is not None:
-        grad_w[-1] = grad_w[-1] + _as_seed(
-            "w_grad", w_grad, net.final_weight.shape
-        )
+        grad = grad + _as_seed("w_grad", w_grad, net.final_weight.shape)
+    grads = [grad]
     delta = logit_grad @ net.weights[-1].T
     if latent_grad is not None:
         delta = delta + _as_seed("latent_grad", latent_grad, latent.shape)
 
-    for k in range(n_layers - 2, -1, -1):
-        layer = net.spec.layers[k]
-        if layer.activation == "relu":
-            delta = delta * (trace.pre_activations[k] > 0.0)
+    for k in range(len(net.spec.layers) - 2, -1, -1):
+        if net.spec.layers[k].activation == "relu":
+            # relu(z) > 0 exactly where z > 0, so the activation masks alike.
+            delta = delta * (trace.activations[k] > 0.0)
         below = batch if k == 0 else trace.activations[k - 1]
-        grad_w[k] = below.T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        grads.append(delta.sum(axis=0))
+        grads.append(below.T @ delta)
         delta = delta @ net.weights[k].T
-
-    grads = []
-    for w, b in zip(grad_w, grad_b):
-        grads.append(w)
-        if b is not None:
-            grads.append(b)
+    grads.reverse()
     return tuple(grads)

@@ -110,8 +110,7 @@ def freeze_mask(net, freeze_final):
     With ``freeze_final`` set, the decision layer's weight is excluded from
     updates (and from velocity accumulation); everything else trains.
     """
-    kinds = net.parameter_kinds()
-    mask = [True] * len(kinds)
+    mask = [True] * len(net.spec.parameter_layout())
     if freeze_final:
         mask[-1] = False
     return mask
@@ -119,4 +118,4 @@ def freeze_mask(net, freeze_final):
 
 def decay_mask(net):
     """Weight decay applies to weights only, never to biases."""
-    return [kind == "weight" for kind in net.parameter_kinds()]
+    return [is_weight for _, _, is_weight in net.spec.parameter_layout()]

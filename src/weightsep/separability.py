@@ -40,15 +40,13 @@ def error_matrix(w):
 def separability_metric(w):
     """Column-separability score: squared Frobenius norm of the Gram error,
     divided by the column count. Non-negative; zero iff columns orthonormal."""
-    e = error_matrix(w)
-    return frobenius_norm_sq(e) / e.shape[0]
+    return separability_report(w).epsilon
 
 
 def separability_metric_trace_form(w):
     """Same score as :func:`separability_metric`, via the trace of the squared
     error matrix."""
-    e = error_matrix(w)
-    return trace(e @ e) / e.shape[0]
+    return separability_report(w).epsilon_trace
 
 
 @dataclass(frozen=True)
@@ -61,23 +59,12 @@ class SeparabilityReport:
     n_classes: int
     m_features: int
 
-    def as_record(self, include_error_matrix=False):
-        """Flat dict for logging; the error matrix is optional and nested."""
-        rec = {
-            "epsilon": self.epsilon,
-            "n_classes": self.n_classes,
-            "m_features": self.m_features,
-        }
-        if include_error_matrix:
-            rec["error_matrix"] = self.error_matrix.tolist()
-        return rec
-
 
 def separability_report(w):
     """Both metric forms and the error matrix for the given weight matrix,
-    all from one error matrix. ``epsilon`` is the Frobenius form, as
-    :func:`separability_metric` computes it; ``epsilon_trace`` the trace form.
-    A non-finite weight or error matrix raises :class:`NumericError`."""
+    all from one error matrix: ``epsilon`` is the Frobenius form and
+    ``epsilon_trace`` the trace form. A non-finite weight, error matrix or
+    squared error matrix raises :class:`NumericError`."""
     e = error_matrix(w)
     n, m = e.shape[0], np.shape(w)[0]
     return SeparabilityReport(

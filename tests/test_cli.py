@@ -147,6 +147,29 @@ def test_config_error_exits_2(tmp_path):
     assert err.startswith("error:config:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "blobs", "--layer-dims", ",", "--epochs", "1"],
+    ["loss-compare", "--data", "blobs", "--seeds", ",", "--epochs", "1"],
+], ids=["layer-dims", "seeds"])
+def test_empty_integer_list_exits_2(tmp_path, argv):
+    rc, _, err = run_cli(argv + (["--out", str(tmp_path / "r")]
+                                 if argv[0] == "train" else []))
+    assert rc == 2
+    assert err.startswith("error:config:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_empty_milestones_mean_no_milestones(tmp_path):
+    rc, _, _ = run_cli(
+        ["train", *BLOB_ARGS, "--epochs", "1", "--seed", "0",
+         "--milestones", ",", "--out", str(tmp_path / "r")]
+    )
+    assert rc == 0
+    cfg = config_from_text((tmp_path / "r" / "config.txt").read_text())
+    assert cfg.milestones == ()
+
+
 def test_data_error_exits_2(tmp_path):
     rc, _, err = run_cli(
         ["train", "--data", "blobs", "--classes", "0,99",

@@ -13,6 +13,7 @@ from weightsep import (
     DataError,
     Dataset,
     FormatError,
+    WeightsepError,
     batches,
     filter_classes,
     load_mnist_dir,
@@ -108,6 +109,41 @@ def test_reads_from_a_non_seekable_stream(tmp_path):
     ds = read_idx(fifo, lab)
     writer.join(timeout=5)
     assert np.array_equal(ds.features, read_idx(img, lab).features)
+
+
+def _flip(data, bit):
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+def test_every_truncation_and_header_bit_flip_is_a_format_error(tmp_path):
+    pixels = [0, 51, 102, 153, 204, 255, 0, 255, 9, 8, 7, 6]
+    img, lab = author_idx_pair(tmp_path, pixels, [3, 1, 0], rows=2, cols=2)
+    for path, header_len in ((img, 16), (lab, 8)):
+        good = path.read_bytes()
+        damaged = [good[:n] for n in range(len(good))]
+        damaged += [_flip(good, bit) for bit in range(8 * header_len)]
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(FormatError):
+                read_idx(img, lab)
+        path.write_bytes(good)
+
+
+def test_every_payload_bit_flip_loads_or_is_a_typed_error(tmp_path):
+    pixels = [0, 51, 102, 153, 204, 255, 0, 255, 9, 8, 7, 6]
+    img, lab = author_idx_pair(tmp_path, pixels, [3, 1, 0], rows=2, cols=2)
+    for path, header_len in ((img, 16), (lab, 8)):
+        good = path.read_bytes()
+        for bit in range(8 * header_len, 8 * len(good)):
+            path.write_bytes(_flip(good, bit))
+            try:
+                ds = read_idx(img, lab)
+            except WeightsepError:
+                continue
+            assert ds.features.shape == (3, 4)
+        path.write_bytes(good)
 
 
 def test_count_mismatch_between_files(tmp_path):

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from weightsep import (
     ConfigError,
     FormatError,
     TrainConfig,
+    WeightsepError,
     config_from_text,
     config_to_text,
     load_checkpoint,
@@ -13,8 +17,10 @@ from weightsep import (
     save_checkpoint,
     similarity_report,
     train,
+    write_metrics_csv,
     write_run_artifact,
 )
+from weightsep import harness
 
 from conftest import rewrite_checkpoint
 
@@ -313,6 +319,48 @@ def test_checkpoint_bad_magic(tmp_path, blob_run):
         load_checkpoint(path)
 
 
+def _small_checkpoint(tmp_path):
+    path = tmp_path / "small.bin"
+    save_checkpoint(ws.init_network(ws.mlp_spec((2, 3, 2)), 0), path)
+    return path.read_bytes()
+
+
+def _load_bytes(path, data):
+    path.write_bytes(bytes(data))
+    return load_checkpoint(path)
+
+
+def test_every_truncation_and_bit_flip_is_a_typed_error(tmp_path):
+    data = _small_checkpoint(tmp_path)
+    path = tmp_path / "damaged.bin"
+    for n in range(len(data)):
+        with pytest.raises(WeightsepError):
+            _load_bytes(path, data[:n])
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(WeightsepError):
+            _load_bytes(path, flipped)
+
+
+def test_every_bit_flip_past_the_checksum_loads_or_is_a_typed_error(tmp_path):
+    # The flipped body gets a fresh checksum, so each flip reaches the header
+    # and payload parsers instead of stopping at the checksum.
+    body = _small_checkpoint(tmp_path)[:-4]
+    path = tmp_path / "damaged.bin"
+    loaded = 0
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flipped += struct.pack(">I", zlib.crc32(flipped) & 0xFFFFFFFF)
+        try:
+            _load_bytes(path, flipped)
+            loaded += 1
+        except WeightsepError:
+            pass
+    assert loaded > 0  # payload flips that stay finite do load
+
+
 def _drop_layers(header):
     del header["layers"]
     return header
@@ -489,3 +537,42 @@ def test_write_run_artifact_files(tmp_path, blob_run):
     net = load_checkpoint(out / "checkpoint.bin")
     for a, b in zip(net.parameters(), blob_run.network.parameters()):
         assert np.array_equal(a, b)
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk
+    would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_keeps_the_earlier_file_and_no_temp(tmp_path, blob_run,
+                                                         monkeypatch):
+    out = tmp_path / "run"
+    write_run_artifact(blob_run, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["checkpoint.bin", "config.txt", "metrics.csv"]
+
+    monkeypatch.setattr(harness, "open", lambda path, mode: _HalfWriter(
+        open(path, mode)), raising=False)
+    other = ws.init_network(blob_run.network.spec, 99)
+    writes = [
+        lambda: save_checkpoint(other, out / "checkpoint.bin"),
+        lambda: write_metrics_csv(blob_run.records[:3], out / "metrics.csv"),
+        lambda: write_run_artifact(blob_run, out),
+    ]
+    for write in writes:
+        with pytest.raises(OSError):
+            write()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -82,7 +85,7 @@ def test_semi_orthogonal_final_option():
 
 def test_identity_single_layer_passes_through():
     spec = NetworkSpec((LayerSpec(3, 3, "identity"),))
-    net = Network(spec, (np.eye(3),), (None,))
+    net = Network(spec, [np.eye(3)])
     x = np.arange(6, dtype=float).reshape(2, 3)
     tr = forward(net, x)
     assert np.array_equal(tr.logits, x)
@@ -92,7 +95,7 @@ def test_identity_single_layer_passes_through():
 
 def test_relu_zeroes_negative_preactivations():
     spec = NetworkSpec((LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "identity")))
-    net = Network(spec, (np.eye(2), np.eye(2)), (np.zeros(2), None))
+    net = Network(spec, [np.eye(2), np.zeros(2), np.eye(2)])
     tr = forward(net, np.array([[-1.0, -2.0]]))
     assert np.array_equal(tr.latent, np.zeros((1, 2)))
     assert np.array_equal(tr.logits, np.zeros((1, 2)))
@@ -163,7 +166,7 @@ def test_zero_seeds_give_zero_gradients():
 def test_single_linear_layer_gradient():
     # loss = sum(logits) => dL/dW = sum_b x_b^T 1
     spec = NetworkSpec((LayerSpec(3, 2, "identity"),))
-    net = Network(spec, (np.random.default_rng(17).normal(size=(3, 2)),), (None,))
+    net = Network(spec, [np.random.default_rng(17).normal(size=(3, 2))])
     batch = np.random.default_rng(18).normal(size=(4, 3))
     tr = forward(net, batch)
     grads = backward(net, tr, np.ones((4, 2)), np.zeros((4, 3)))
@@ -317,3 +320,56 @@ def test_replace_parameters_validates_shapes():
     bad[0] = np.zeros((4, 7))
     with pytest.raises(ShapeError):
         net.replace_parameters(bad)
+
+
+# --- parameter layout -------------------------------------------------
+
+
+@pytest.mark.parametrize("dims, names", [
+    ((3, 2), ["layer0.weight"]),
+    ((4, 5, 3), ["layer0.weight", "layer0.bias", "layer1.weight"]),
+    ((6, 5, 4, 3), ["layer0.weight", "layer0.bias", "layer1.weight",
+                    "layer1.bias", "layer2.weight"]),
+], ids=["1-layer", "2-layer", "3-layer"])
+def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
+    spec = mlp_spec(dims)
+    layout = spec.parameter_layout()
+    assert [name for name, _, _ in layout] == names
+    shapes = [shape for _, shape, _ in layout]
+    assert [is_weight for _, _, is_weight in layout] == [
+        name.endswith(".weight") for name in names
+    ]
+
+    net = init_network(spec, 0)
+    assert [p.shape for p in net.parameters()] == shapes
+    assert [w.shape for w in net.weights] == [s for s in shapes if len(s) == 2]
+    assert net.biases[-1] is None
+
+    path = tmp_path / "model.bin"
+    ws.save_checkpoint(net, path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack(">I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len].decode())
+    assert header["arrays"] == [
+        {"name": name, "shape": list(shape)} for name, shape, _ in layout
+    ]
+
+    batch = np.random.default_rng(5).normal(size=(2, dims[0]))
+    trace = forward(net, batch)
+    grads = backward(net, trace, np.ones_like(trace.logits))
+    assert [g.shape for g in grads] == shapes
+
+    assert ws.decay_mask(net) == [name.endswith(".weight") for name in names]
+    assert ws.freeze_mask(net, False) == [True] * len(names)
+    assert ws.freeze_mask(net, True) == [True] * (len(names) - 1) + [False]
+
+    params = net.parameters()
+    with pytest.raises(ShapeError):
+        Network(spec, params[:-1])
+    with pytest.raises(ShapeError):
+        Network(spec, params + [np.zeros(1)])
+    for k, (name, shape, _) in enumerate(layout):
+        bad = list(params)
+        bad[k] = np.zeros(shape + (1,))
+        with pytest.raises(ShapeError, match=name):
+            Network(spec, bad)

@@ -158,10 +158,10 @@ def test_freeze_mask_shapes():
 
 def test_decay_mask_excludes_biases():
     net = small_net()
-    kinds = net.parameter_kinds()
     mask = decay_mask(net)
-    for kind, flag in zip(kinds, mask):
-        assert flag == (kind == "weight")
+    assert len(mask) == len(net.parameters())
+    for p, flag in zip(net.parameters(), mask):
+        assert flag == (p.ndim == 2)
 
 
 def test_frozen_parameter_bit_identical_across_steps():
