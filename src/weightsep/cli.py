@@ -144,11 +144,22 @@ def resolve_datasets(args, seed):
     return source, train, test
 
 
+def read_config(path):
+    """TrainConfig from a config file. The file must be UTF-8; other bytes
+    are a ConfigError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
+    return harness.config_from_text(text)
+
+
 def build_config(args, train_ds, source):
     """TrainConfig from an optional config file plus flag overrides."""
     if args.config:
-        with open(args.config) as f:
-            config = harness.config_from_text(f.read())
+        config = read_config(args.config)
     else:
         config = harness.default_config(train_ds, seed=0)
     overrides = {}
@@ -160,31 +171,24 @@ def build_config(args, train_ds, source):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
+    dims = config.layer_dims
     if args.layer_dims is not None:
-        overrides["layer_dims"] = _parse_nonempty_int_list(
-            args.layer_dims, "--layer-dims"
-        )
+        dims = _parse_nonempty_int_list(args.layer_dims, "--layer-dims")
+    # The data sets the input and class widths; only hidden widths are kept.
+    overrides["layer_dims"] = (train_ds.dim, *dims[1:-1], train_ds.n_classes)
     if args.milestones is not None:
         overrides["milestones"] = _parse_int_list(args.milestones)
     overrides["data_source"] = str(source)
     if args.classes:
         overrides["class_filter"] = _parse_int_list(args.classes)
-    config = replace(config, **overrides)
-    if config.layer_dims[0] != train_ds.dim or config.layer_dims[-1] != train_ds.n_classes:
-        config = replace(
-            config,
-            layer_dims=(train_ds.dim,) + tuple(config.layer_dims[1:-1])
-            + (train_ds.n_classes,),
-        )
-    return config
+    return replace(config, **overrides)
 
 
 def cmd_train(args):
     seed = args.seed
     if seed is None and args.config:
         # replaying a recorded config: its seed also governs synthetic data
-        with open(args.config) as f:
-            seed = harness.config_from_text(f.read()).seed
+        seed = read_config(args.config).seed
     source, train_ds, test_ds = resolve_datasets(args, seed or 0)
     config = build_config(args, train_ds, source)
     artifact = harness.train(config, train_ds, eval_ds=test_ds)

@@ -228,11 +228,20 @@ _GLYPHS = {
 DIGIT_SIDE = 28
 
 
-def _render_digit(digit, rand):
-    glyph = np.array(
-        [[ch == "#" for ch in row] for row in _GLYPHS[digit]], dtype=np.float64
-    )
+def _scaled_glyph(rows):
+    glyph = np.array([[ch == "#" for ch in row] for row in rows],
+                     dtype=np.float64)
     scaled = np.kron(glyph, np.ones((3, 3)))  # 21 x 15
+    scaled.setflags(write=False)  # shared by every sample of the digit
+    return scaled
+
+
+# Built once: no random draw goes into a glyph or its scale-up.
+_SCALED_GLYPHS = tuple(_scaled_glyph(_GLYPHS[d]) for d in range(10))
+
+
+def _render_digit(digit, rand):
+    scaled = _SCALED_GLYPHS[digit]
     canvas = np.zeros((DIGIT_SIDE, DIGIT_SIDE))
     top = 3 + rand.integers(-3, 4)
     left = 6 + rand.integers(-3, 4)

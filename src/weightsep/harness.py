@@ -11,6 +11,7 @@ step in both of its algebraic forms and the two are required to agree.
 import csv
 import io
 import json
+import math
 import os
 import struct
 import zlib
@@ -626,10 +627,28 @@ def config_to_text(config):
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a parsed JSON value must be for each TrainConfig field type, and
+# a test for it. bool subclasses int, so the integer test excludes it.
+_FIELD_CHECKS = {
+    tuple: ("a list of integers",
+            lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    int: ("an integer", _is_int),
+    float: ("a finite number",
+            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def config_from_text(text):
     """Parse :func:`config_to_text` output (or a hand-written file in the
-    same shape) back into a :class:`TrainConfig`."""
-    fields = {f: None for f in TrainConfig.__dataclass_fields__}
+    same shape) back into a :class:`TrainConfig`. A value whose JSON type
+    does not fit its field is a :class:`ConfigError`."""
+    fields = {name: f.type for name, f in TrainConfig.__dataclass_fields__.items()}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -642,12 +661,15 @@ def config_from_text(text):
         if key not in fields:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = json.loads(rhs.strip())
-        except json.JSONDecodeError as e:
+            value = json.loads(rhs.strip())
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-    for key in ("layer_dims", "milestones", "class_filter"):
-        if key in values:
-            values[key] = tuple(values[key])
+        what, fits = _FIELD_CHECKS[fields[key]]
+        if not fits(value):
+            raise ConfigError(
+                f"line {lineno}: {key} must be {what}, got {rhs.strip()}"
+            )
+        values[key] = tuple(value) if isinstance(value, list) else value
     try:
         return TrainConfig(**values)
     except TypeError as e:

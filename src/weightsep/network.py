@@ -244,17 +244,25 @@ def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     if w_grad is not None:
         grad = grad + _as_seed("w_grad", w_grad, net.final_weight.shape)
     grads = [grad]
-    delta = logit_grad @ net.weights[-1].T
     if latent_grad is not None:
-        delta = delta + _as_seed("latent_grad", latent_grad, latent.shape)
+        latent_grad = _as_seed("latent_grad", latent_grad, latent.shape)
 
-    for k in range(len(net.spec.layers) - 2, -1, -1):
+    # delta is dLoss/d(output of layer k). Nothing reads dLoss/d(batch), so
+    # delta never passes back through W0, and a net with no hidden layer
+    # forms none.
+    n_hidden = len(net.spec.layers) - 1
+    if n_hidden:
+        delta = logit_grad @ net.weights[-1].T
+        if latent_grad is not None:
+            delta = delta + latent_grad
+    for k in range(n_hidden - 1, -1, -1):
         if net.spec.layers[k].activation == "relu":
             # relu(z) > 0 exactly where z > 0, so the activation masks alike.
             delta = delta * (trace.activations[k] > 0.0)
         below = batch if k == 0 else trace.activations[k - 1]
         grads.append(delta.sum(axis=0))
         grads.append(below.T @ delta)
-        delta = delta @ net.weights[k].T
+        if k:
+            delta = delta @ net.weights[k].T
     grads.reverse()
     return tuple(grads)

@@ -82,6 +82,18 @@ def epoch_epsilons(artifact):
     return np.array([by_epoch[e] for e in sorted(by_epoch)])
 
 
+# One JSON value of each type; every config field meets each of them.
+JSON_PROBES = ("null", "true", "1", "1.5", '"x"', "[]", "[1]", "{}")
+
+
+def config_with(text, key, value):
+    """Config ``text`` with the value of ``key`` replaced by ``value``."""
+    return "".join(
+        f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
 def rewrite_checkpoint(src, dst, edit_header=None, edit_payload=None):
     """Copy checkpoint ``src`` to ``dst`` with its JSON header and/or raw
     payload bytes edited, under a valid checksum, so the edit gets past the

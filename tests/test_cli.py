@@ -24,7 +24,7 @@ import weightsep
 from weightsep import Dataset, config_from_text, write_idx
 from weightsep.cli import main
 
-from conftest import rewrite_checkpoint
+from conftest import JSON_PROBES, config_with, rewrite_checkpoint
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "0,1,2",
              "--layer-dims", "32,16,3"]
@@ -145,6 +145,36 @@ def test_config_error_exits_2(tmp_path):
     )
     assert rc == 2
     assert err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("key", list(weightsep.TrainConfig.__dataclass_fields__))
+def test_every_config_file_value_exits_0_or_2(tmp_path, key):
+    base = weightsep.TrainConfig(
+        layer_dims=(32, 8, 3), epochs=1, seed=0, batch_size=64,
+        loss="softmax_ce_plus_center", use_reconstruction=True)
+    text = weightsep.config_to_text(base)
+    config = tmp_path / "config.txt"
+    for value in JSON_PROBES:
+        config.write_text(config_with(text, key, value))
+        rc, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
+                              "--config", str(config),
+                              "--out", str(tmp_path / "r")])
+        assert rc in (0, 2), (value, err)
+        assert "Traceback" not in err
+        assert rc == 0 or err.startswith("error:config:"), (value, err)
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfeepochs = 1\n",
+                                  "epochs = 1\n".encode("utf-16")],
+                         ids=["ff-fe", "utf-16"])
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, data):
+    config = tmp_path / "config.txt"
+    config.write_bytes(data)
+    rc, _, err = run_cli(["train", "--data", "blobs", "--config", str(config),
+                          "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert err.startswith("error:config:") and "UTF-8" in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("argv", [

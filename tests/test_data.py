@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import math
 import os
 import struct
@@ -261,6 +262,16 @@ def test_digits_shape_and_determinism():
     assert np.array_equal(np.sort(np.unique(a.labels)), np.arange(10))
     c = synth_digits(per_class=3, seed=9)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_digits_bytes_are_pinned():
+    # Recorded before the glyph scale-ups were built once per module.
+    ds = synth_digits(per_class=3, seed=5)
+    assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+    assert hashlib.sha256(ds.features.tobytes()).hexdigest() == (
+        "5829fc568daf40daa775de41034ad43db8fa8ae0ed8a5b67ebbe1aa874467eb8")
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+        "96c8c1fb23425f25e947b5a6706bf75d0779bc56c2f952ba7397350fc1e1f111")
 
 
 # --- batching ---------------------------------------------------------

@@ -21,6 +21,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,14 @@ BLOBS_SHA256 = (
 BLOBS_CE_SHA256 = (
     "6a388e6e465a8eb7ea622bc9ec410fe8f113c5a42cd805ded7c4ec760f77155a",
     "0d59c5c558e4fc232bd9c75d300154cde83482bb7bfb6749d74c3700e7460142",
+)
+
+# CE + center + reconstruction through a 32-24-16-10 net: the only case with
+# two hidden layers, so backward passes its delta down through a hidden
+# weight matrix. Recorded before backward stopped at layer 0's input.
+BLOBS_DEEP_SHA256 = (
+    "5be7a460e5a4ddfa193c39313e638c72e5199da678d184fd5f758ae1de03c821",
+    "eb2d2e72313e36c1d4a29aab0601cacc1a3d887fb83f141287a9dd2379d04a84",
 )
 
 # The criterion-5 trend recipe with the reconstruction term, cut to 2 epochs.
@@ -95,12 +104,14 @@ def golden_runs():
     )
     blobs_ce_cfg = ws.TrainConfig(layer_dims=(32, 64, 10), epochs=3, seed=5,
                                   batch_size=32)
+    blobs_deep_cfg = replace(blobs_cfg, layer_dims=(32, 24, 16, 10))
     digits_train = ws.synth_digits(per_class=512, seed=11)
     digits_test = ws.synth_digits(per_class=100, seed=1_000_014)
     out = {}
     for name, art in (
         ("blobs", ws.train(blobs_cfg, blobs)),
         ("blobs_ce", ws.train(blobs_ce_cfg, blobs)),
+        ("blobs_deep", ws.train(blobs_deep_cfg, blobs)),
         ("digits", ws.train(trend_config(1, epochs=2), digits_train,
                             eval_ds=digits_test)),
     ):
@@ -147,6 +158,11 @@ def test_golden_blobs_center_reconstruction(golden):
 def test_golden_blobs_plain_cross_entropy(golden):
     assert golden["blobs_ce"]["steps"] == 3 * 13
     assert_hashes(golden, "blobs_ce", BLOBS_CE_SHA256)
+
+
+def test_golden_blobs_two_hidden_layers(golden):
+    assert golden["blobs_deep"]["steps"] == 3 * 13
+    assert_hashes(golden, "blobs_deep", BLOBS_DEEP_SHA256)
 
 
 def test_golden_digits_reconstruction(golden):

@@ -22,7 +22,7 @@ from weightsep import (
 )
 from weightsep import harness
 
-from conftest import rewrite_checkpoint
+from conftest import JSON_PROBES, config_with, rewrite_checkpoint
 
 
 def blob_config(**overrides):
@@ -96,6 +96,39 @@ def test_config_text_rejects_bad_value():
     )
     with pytest.raises(ConfigError):
         config_from_text(text)
+
+
+@pytest.mark.parametrize("key", list(TrainConfig.__dataclass_fields__))
+def test_every_field_value_parses_or_is_a_config_error(key):
+    text = config_to_text(blob_config(loss="softmax_ce_plus_center",
+                                      use_reconstruction=True))
+    kinds = {"null": type(None), "true": bool, "1": int, "1.5": float,
+             '"x"': str, "[]": list, "[1]": list, "{}": dict}
+    field_type = TrainConfig.__dataclass_fields__[key].type
+    for value in JSON_PROBES:
+        try:
+            cfg = config_from_text(config_with(text, key, value))
+        except ConfigError:
+            continue
+        assert isinstance(cfg, TrainConfig)
+        # Only a value of the field's own type gets through, an int in
+        # place of a float included; a bool never counts as a number.
+        kind = kinds[value]
+        assert (kind is field_type or (kind, field_type) in
+                ((list, tuple), (int, float)))
+        assert config_from_text(config_to_text(cfg)) == cfg
+
+
+def test_config_rejects_a_value_nested_too_deep():
+    with pytest.raises(ConfigError, match="bad value for epochs"):
+        config_from_text("epochs = " + "[" * 100_000)
+
+
+def test_config_rejects_non_finite_numbers():
+    for value in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ConfigError, match="lam must be a finite number"):
+            config_from_text(config_with(config_to_text(blob_config()),
+                                         "lam", value))
 
 
 # --- training loop ----------------------------------------------------

@@ -260,6 +260,53 @@ def test_backward_without_latent_seed_equals_zero_seed():
         assert np.array_equal(x, y)
 
 
+def full_chain_backward(net, trace, logit_grad, latent_grad=None,
+                        w_grad=None):
+    """backward as written before it stopped at layer 0: delta runs down
+    to the batch, dLoss/dinputs included, and is then dropped."""
+    grad = trace.latent.T @ logit_grad
+    if w_grad is not None:
+        grad = grad + w_grad
+    grads = [grad]
+    delta = logit_grad @ net.weights[-1].T
+    if latent_grad is not None:
+        delta = delta + latent_grad
+    for k in range(len(net.spec.layers) - 2, -1, -1):
+        if net.spec.layers[k].activation == "relu":
+            delta = delta * (trace.activations[k] > 0.0)
+        below = trace.inputs if k == 0 else trace.activations[k - 1]
+        grads.append(delta.sum(axis=0))
+        grads.append(below.T @ delta)
+        delta = delta @ net.weights[k].T
+    grads.reverse()
+    return tuple(grads)
+
+
+@pytest.mark.parametrize("dims", [(6, 4), (6, 9, 4), (6, 9, 5, 4)],
+                         ids=["no-hidden", "one-hidden", "two-hidden"])
+@pytest.mark.parametrize("with_latent", [False, True], ids=["no-latent", "latent"])
+@pytest.mark.parametrize("with_w", [False, True], ids=["no-w", "w"])
+def test_backward_equals_the_full_chain_bit_for_bit(dims, with_latent, with_w):
+    net = tiny_net(dims, seed=31)
+    rng = np.random.default_rng(32)
+    tr = forward(net, rng.normal(size=(5, dims[0])))
+    logit_grad = rng.normal(size=tr.logits.shape)
+    latent_grad = rng.normal(size=tr.latent.shape) if with_latent else None
+    w_grad = rng.normal(size=net.final_weight.shape) if with_w else None
+    got = backward(net, tr, logit_grad, latent_grad, w_grad)
+    want = full_chain_backward(net, tr, logit_grad, latent_grad, w_grad)
+    assert len(got) == len(want) == len(net.parameters())
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_backward_checks_latent_seed_without_hidden_layers():
+    net = tiny_net((6, 4), seed=33)
+    tr = forward(net, np.zeros((2, 6)))
+    with pytest.raises(ShapeError, match="latent_grad"):
+        backward(net, tr, np.zeros((2, 4)), latent_grad=np.zeros((2, 5)))
+
+
 def test_backward_all_seeds_match_finite_differences():
     """CE + center + lam * reconstruction through a two-hidden-layer relu
     net: the three seeds reach every parameter, the final weight included."""
