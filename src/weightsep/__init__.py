@@ -50,7 +50,6 @@ from .linalg import (
     QrResult,
     frobenius_norm_sq,
     jacobi_eigh,
-    matmul,
     pca_reduce,
     qr_decompose,
     semi_orthogonal_init,
@@ -72,7 +71,6 @@ from .network import (
     Network,
     NetworkSpec,
     backward,
-    decide_class,
     decide_classes,
     forward,
     init_network,

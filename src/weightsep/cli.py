@@ -69,7 +69,8 @@ def _dataset_args(parser):
 def _config_args(parser, seed_required):
     parser.add_argument("--config", default=None, help="config file to start from")
     parser.add_argument("--layer-dims", default=None,
-                        help="comma-separated widths, input first")
+                        help="comma-separated widths: the data's input width, "
+                        "hidden widths, the class count")
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--seed", type=int, required=seed_required, default=None)
     parser.add_argument("--loss", choices=harness.LOSS_KINDS, default=None)
@@ -173,9 +174,16 @@ def build_config(args, train_ds, source):
             overrides[key] = value
     dims = config.layer_dims
     if args.layer_dims is not None:
-        dims = _parse_nonempty_int_list(args.layer_dims, "--layer-dims")
-    # The data sets the input and class widths; only hidden widths are kept.
-    overrides["layer_dims"] = (train_ds.dim, *dims[1:-1], train_ds.n_classes)
+        dims = _parse_int_list(args.layer_dims)
+    if len(dims) < 2:
+        raise ConfigError(f"layer_dims needs an input and a class width, got {dims}")
+    if dims[0] != train_ds.dim:
+        raise ConfigError(f"layer_dims: first width {dims[0]} != the data's "
+                          f"input width {train_ds.dim}")
+    if dims[-1] != train_ds.n_classes:
+        raise ConfigError(f"layer_dims: last width {dims[-1]} != the data's "
+                          f"class count {train_ds.n_classes}")
+    overrides["layer_dims"] = dims
     if args.milestones is not None:
         overrides["milestones"] = _parse_int_list(args.milestones)
     overrides["data_source"] = str(source)

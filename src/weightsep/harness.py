@@ -91,6 +91,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 < self.center_rate <= 1.0:
+            raise ConfigError(f"center_rate must be in (0, 1], got {self.center_rate}")
 
     def schedule(self):
         return optim.LrSchedule(

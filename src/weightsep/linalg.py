@@ -1,11 +1,12 @@
-"""Dense matrix substrate: products, norms, QR, and PCA.
+"""Dense matrix substrate: norms, QR, and PCA.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64. The helpers here add the
 contract checks the rest of the package relies on (finite entries, explicit
-shape errors naming both operands) on top of numpy's arithmetic. The QR
-decomposition is computed with Householder reflections and a fixed sign
-convention so results are unique and reproducible; the PCA eigensolver is a
-cyclic Jacobi iteration on the covariance matrix.
+shape errors) on top of numpy's arithmetic. The QR decomposition is computed
+with Householder reflections and a fixed sign convention so results are
+unique and reproducible. PCA takes its basis from LAPACK's symmetric
+eigensolver (``numpy.linalg.eigh``) with the same kind of sign convention; a
+cyclic Jacobi eigensolver is kept as an independent reference for it.
 """
 
 from dataclasses import dataclass
@@ -32,17 +33,6 @@ def as_matrix(a, name="matrix"):
     if not np.isfinite(m).all():
         raise NumericError(f"{name}: non-finite entries")
     return m
-
-
-def matmul(a, b):
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def frobenius_norm_sq(m):
@@ -134,7 +124,9 @@ def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue, with
     eigenvectors in columns. Convergence is declared when the off-diagonal
-    Frobenius norm drops below ``tol``.
+    Frobenius norm drops below ``tol``. Every rotation runs in Python, so
+    it is slow past a few dozen dimensions; :func:`pca_reduce` uses LAPACK,
+    and the tests check it against this solver.
     """
     a = as_matrix(a, "a")
     d = a.shape[0]
@@ -181,7 +173,8 @@ def pca_reduce(x, k):
 
     Data are mean-centered first; component directions are orthonormal and
     ordered by non-increasing projected variance. The sign of each direction
-    is fixed so its largest-magnitude entry is positive.
+    is fixed so its largest-magnitude entry is positive. A covariance that
+    is not finite (an input too large to square) raises :class:`NumericError`.
     """
     x = as_matrix(x, "x")
     n_samples, n_features = x.shape
@@ -194,8 +187,10 @@ def pca_reduce(x, k):
 
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (n_samples - 1)
-    _, vecs = jacobi_eigh(cov)
-    basis = vecs[:, :k]
+    if not np.isfinite(cov).all():
+        raise NumericError("pca_reduce: non-finite covariance")
+    _, vecs = np.linalg.eigh(cov)
+    basis = vecs[:, ::-1][:, :k]  # eigh sorts ascending; take the top k
     anchor = np.argmax(np.abs(basis), axis=0)
     signs = np.sign(basis[anchor, np.arange(k)])
     signs[signs == 0] = 1.0

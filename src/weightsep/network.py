@@ -202,17 +202,6 @@ def forward(net, batch):
     return ForwardTrace(inputs=batch, activations=tuple(acts))
 
 
-def decide_class(latent, w):
-    """Index of the decision column with the largest inner product against
-    ``latent``; ties resolve to the lowest index."""
-    latent = np.asarray(latent, dtype=np.float64).reshape(-1)
-    if latent.shape[0] != w.shape[0]:
-        raise ShapeError(
-            f"decide_class: latent length {latent.shape[0]} != rows {w.shape[0]}"
-        )
-    return int(np.argmax(latent @ w))
-
-
 def decide_classes(logits):
     """Row-wise argmax over logits, ties to the lowest index."""
     return np.argmax(logits, axis=1)

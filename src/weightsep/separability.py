@@ -57,7 +57,6 @@ class SeparabilityReport:
     epsilon_trace: float
     error_matrix: np.ndarray
     n_classes: int
-    m_features: int
 
 
 def separability_report(w):
@@ -66,13 +65,12 @@ def separability_report(w):
     ``epsilon_trace`` the trace form. A non-finite weight, error matrix or
     squared error matrix raises :class:`NumericError`."""
     e = error_matrix(w)
-    n, m = e.shape[0], np.shape(w)[0]
+    n = e.shape[0]
     return SeparabilityReport(
         epsilon=frobenius_norm_sq(e) / n,
         epsilon_trace=trace(e @ e) / n,
         error_matrix=e,
         n_classes=n,
-        m_features=m,
     )
 
 

@@ -164,6 +164,62 @@ def test_every_config_file_value_exits_0_or_2(tmp_path, key):
         assert rc == 0 or err.startswith("error:config:"), (value, err)
 
 
+@pytest.mark.parametrize("rate, rc", [("1.5", 2), ("0", 2), ("-2", 2),
+                                      ("0.5", 0), ("1", 0)])
+def test_center_rate_outside_zero_one_exits_2(tmp_path, rate, rc):
+    base = weightsep.TrainConfig(layer_dims=(32, 8, 3), epochs=1, seed=0,
+                                 batch_size=64, loss="softmax_ce_plus_center")
+    config = tmp_path / "config.txt"
+    config.write_text(config_with(weightsep.config_to_text(base),
+                                  "center_rate", rate))
+    run_dir = tmp_path / "r"
+    code, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
+                            "--config", str(config), "--out", str(run_dir)])
+    assert code == rc, err
+    if rc == 2:
+        assert err.startswith("error:config:") and "center_rate" in err
+        assert not run_dir.exists()
+    else:
+        cfg = config_from_text((run_dir / "config.txt").read_text())
+        assert cfg.center_rate == float(rate)
+
+
+@pytest.mark.parametrize("dims, named", [
+    ("0,5", ("first width 0", "input width 32")),
+    ("32,5", ("last width 5", "class count 3")),
+    ("5", ("an input and a class width", "(5,)")),
+], ids=["0,5", "32,5", "5"])
+def test_layer_dims_must_match_the_data(tmp_path, dims, named):
+    run_dir = tmp_path / "r"
+    rc, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
+                          "--layer-dims", dims, "--epochs", "1",
+                          "--out", str(run_dir)])
+    assert rc == 2
+    assert err.startswith("error:config:")
+    assert all(text in err for text in named), err
+    assert not run_dir.exists()
+
+
+def test_config_file_layer_dims_must_match_the_data(tmp_path):
+    base = weightsep.TrainConfig(layer_dims=(32, 8, 10), epochs=1, seed=0)
+    config = tmp_path / "config.txt"
+    config.write_text(weightsep.config_to_text(base))
+    rc, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
+                          "--config", str(config), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert err.startswith("error:config: layer_dims: last width 10")
+    assert "class count 3" in err
+
+
+def test_matching_layer_dims_train_that_net(tmp_path):
+    run_dir = tmp_path / "r"
+    rc, _, _ = run_cli(["train", *BLOB_ARGS, "--epochs", "1", "--seed", "0",
+                        "--out", str(run_dir)])
+    assert rc == 0
+    cfg = config_from_text((run_dir / "config.txt").read_text())
+    assert cfg.layer_dims == (32, 16, 3)
+
+
 @pytest.mark.parametrize("data", [b"\xff\xfeepochs = 1\n",
                                   "epochs = 1\n".encode("utf-16")],
                          ids=["ff-fe", "utf-16"])

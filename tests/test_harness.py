@@ -54,6 +54,11 @@ def test_config_validation():
         blob_config(epochs=0)
     with pytest.raises(ConfigError):
         blob_config(final_init="kaiming")
+    for rate in (1.5, 0.0, -2.0, float("nan")):
+        with pytest.raises(ConfigError, match="center_rate"):
+            blob_config(center_rate=rate)
+    for rate in (0.5, 1.0, 1e-3):
+        assert blob_config(center_rate=rate).center_rate == rate
 
 
 def test_config_defaults_match_published_recipe():

@@ -5,39 +5,18 @@ from weightsep import (
     NumericError,
     ShapeError,
     SingularMatrixError,
+    TrainConfig,
     frobenius_norm_sq,
     jacobi_eigh,
-    matmul,
+    latent_features,
     pca_reduce,
     qr_decompose,
     semi_orthogonal_init,
     separability_metric,
+    synth_blobs,
     trace,
+    train,
 )
-
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 6))
-    b = rng.normal(size=(6, 3))
-    assert np.allclose(matmul(a, b), a @ b, rtol=0, atol=1e-12)
-
-
-def test_matmul_inner_dim_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-
-def test_matmul_associative():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        m, k, l, n = rng.integers(1, 9, size=4)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, l))
-        c = rng.normal(size=(l, n))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-9
 
 
 def test_frobenius_equals_trace_of_gram():
@@ -47,7 +26,7 @@ def test_frobenius_equals_trace_of_gram():
         m, n = rng.integers(1, 12, size=2)
         mat = rng.normal(size=(m, n)) * rng.uniform(0.1, 10)
         lhs = frobenius_norm_sq(mat)
-        rhs = trace(matmul(mat.T, mat))
+        rhs = trace(mat.T @ mat)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -186,3 +165,48 @@ def test_pca_component_variances_match_eigenvalues():
 def test_pca_k_too_large():
     with pytest.raises(ShapeError):
         pca_reduce(np.zeros((5, 3)), 4)
+
+
+def jacobi_projection(x, k):
+    """The PCA projection built from the Jacobi solver, with pca_reduce's
+    sign convention: the reference pca_reduce is checked against."""
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (len(x) - 1)
+    _, vecs = jacobi_eigh(cov)
+    basis = vecs[:, :k]
+    anchor = np.argmax(np.abs(basis), axis=0)
+    return centered @ (basis * np.sign(basis[anchor, np.arange(k)]))
+
+
+def assert_within_pca_tol(got, ref):
+    # the benchmark's latents tolerance: 1e-8 relative, absolute below 1
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_pca_matches_the_jacobi_projection_on_seeded_inputs():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        d = int(rng.integers(2, 12))
+        x = rng.normal(size=(int(rng.integers(d + 2, 60)), d))
+        x *= rng.uniform(0.5, 3.0, size=d)
+        for k in sorted({1, min(3, d), d}):
+            assert_within_pca_tol(pca_reduce(x, k), jacobi_projection(x, k))
+
+
+def test_pca_matches_the_jacobi_projection_on_trained_latents():
+    ds = synth_blobs(n_classes=10, per_class=30, dim=32, spread=0.08, seed=2)
+    art = train(TrainConfig(layer_dims=(32, 64, 10), epochs=2, seed=4,
+                            batch_size=32), ds)
+    latents = latent_features(art.network, ds)
+    assert latents.shape == (300, 64)
+    assert_within_pca_tol(pca_reduce(latents, 3), jacobi_projection(latents, 3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pca_overflowing_covariance_raises_numeric_error():
+    x = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
+    with pytest.raises(NumericError, match="pca_reduce"):
+        pca_reduce(x, 2)
+    with pytest.raises(NumericError):
+        pca_reduce(np.vstack([x, -x]), 1)

@@ -12,7 +12,7 @@ from weightsep import (
     NetworkSpec,
     ShapeError,
     backward,
-    decide_class,
+    decide_classes,
     forward,
     init_network,
     mlp_spec,
@@ -128,26 +128,29 @@ def test_logits_are_latent_times_w():
 # --- decision rule ----------------------------------------------------
 
 
-def test_decide_class_basic_and_tie():
-    assert decide_class(np.array([1.0, 0.0]), np.eye(2)) == 0
-    assert decide_class(np.array([1.0, 1.0]), np.eye(2)) == 0  # tie, lowest
+def test_decide_classes_basic_and_tie():
+    logits = np.array([1.0, 0.0]) @ np.eye(2)
+    assert decide_classes(logits[None]).tolist() == [0]
+    tie = np.array([1.0, 1.0]) @ np.eye(2)
+    assert decide_classes(tie[None]).tolist() == [0]  # tie, lowest
 
 
-def test_decide_class_brute_force():
+def test_decide_classes_brute_force():
     rng = np.random.default_rng(14)
     for _ in range(25):
         alpha = rng.normal(size=8)
         w = rng.normal(size=(8, 5))
         best = max(range(5), key=lambda i: alpha @ w[:, i])
-        assert decide_class(alpha, w) == best
+        assert decide_classes((alpha @ w)[None]).tolist() == [best]
 
 
-def test_decide_class_scale_invariant():
+def test_decide_classes_scale_invariant():
     rng = np.random.default_rng(15)
-    alpha = rng.normal(size=6)
+    alpha = rng.normal(size=(3, 6))
     w = rng.normal(size=(6, 4))
     for c in (0.1, 1.0, 7.3):
-        assert decide_class(c * alpha, w) == decide_class(alpha, w)
+        assert np.array_equal(decide_classes((c * alpha) @ w),
+                              decide_classes(alpha @ w))
 
 
 # --- backward ---------------------------------------------------------
