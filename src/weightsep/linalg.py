@@ -4,9 +4,8 @@ Matrices are plain 2-D ``numpy.ndarray`` of float64. The helpers here add the
 contract checks the rest of the package relies on (finite entries, explicit
 shape errors) on top of numpy's arithmetic. The QR decomposition is computed
 with Householder reflections and a fixed sign convention so results are
-unique and reproducible. PCA takes its basis from LAPACK's symmetric
-eigensolver (``numpy.linalg.eigh``) with the same kind of sign convention; a
-cyclic Jacobi eigensolver is kept as an independent reference for it.
+unique and reproducible; the PCA eigensolver is a cyclic Jacobi iteration on
+the covariance matrix, applied a round of disjoint rotations at a time.
 """
 
 from dataclasses import dataclass
@@ -119,14 +118,32 @@ def semi_orthogonal_init(m, n, seed):
     return qr_decompose(rand).q
 
 
+def _sweep_rounds(d):
+    """Order the index pairs ``p < q`` of a ``d``-dimensional sweep as rounds
+    of disjoint pairs (the round-robin circle method): every pair meets once
+    per sweep. Returns a list of ``(p, q)`` index arrays, one per round."""
+    slots = list(range(d + d % 2))  # an odd d adds slot d, which sits out
+    half = len(slots) // 2
+    rounds = []
+    for _ in range(len(slots) - 1):
+        pairs = sorted((min(a, b), max(a, b))
+                       for a, b in zip(slots[:half], slots[::-1][:half])
+                       if max(a, b) < d)
+        if pairs:
+            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
+        slots = [slots[0], slots[-1], *slots[1:-1]]
+    return rounds
+
+
 def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue, with
     eigenvectors in columns. Convergence is declared when the off-diagonal
-    Frobenius norm drops below ``tol``. Every rotation runs in Python, so
-    it is slow past a few dozen dimensions; :func:`pca_reduce` uses LAPACK,
-    and the tests check it against this solver.
+    Frobenius norm drops below ``tol``. A sweep rotates every index pair once,
+    in the rounds of :func:`_sweep_rounds`. The pairs of a round are disjoint,
+    so their rotations commute and are applied together as one orthogonal
+    matrix.
     """
     a = as_matrix(a, "a")
     d = a.shape[0]
@@ -138,25 +155,29 @@ def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     a = (a + a.T) / 2.0
     v = np.eye(d)
     off_mask = ~np.eye(d, dtype=bool)
+    rounds = _sweep_rounds(d)
     for _ in range(max_sweeps):
         off = np.sqrt(np.sum(a[off_mask] ** 2))
         if off < tol:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < tol / (d * d + 1):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
+        for p, q in rounds:
+            apq = a[p, q]
+            turn = np.abs(apq) >= tol / (d * d + 1)
+            if not turn.any():
+                continue
+            tau = (a[q, q] - a[p, p]) / (2.0 * np.where(turn, apq, 1.0))
+            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[tau == 0] = 1.0
+            t[~turn] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.eye(d)
+            rot[p, p] = c
+            rot[q, q] = c
+            rot[p, q] = s
+            rot[q, p] = -s
+            a = rot.T @ a @ rot
+            v = v @ rot
     else:
         raise NumericError(
             f"jacobi_eigh: no convergence in {max_sweeps} sweeps "
@@ -187,10 +208,8 @@ def pca_reduce(x, k):
 
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (n_samples - 1)
-    if not np.isfinite(cov).all():
-        raise NumericError("pca_reduce: non-finite covariance")
-    _, vecs = np.linalg.eigh(cov)
-    basis = vecs[:, ::-1][:, :k]  # eigh sorts ascending; take the top k
+    _, vecs = jacobi_eigh(cov)
+    basis = vecs[:, :k]
     anchor = np.argmax(np.abs(basis), axis=0)
     signs = np.sign(basis[anchor, np.arange(k)])
     signs[signs == 0] = 1.0

@@ -55,6 +55,9 @@ def test_train_writes_artifacts(train_run):
         assert (run_dir / name).exists()
     assert "final separability:" in out
     assert "final test accuracy:" in out
+    # --layer-dims 32,16,3 fits the data (32 inputs, 3 classes) and is kept
+    cfg = config_from_text((run_dir / "config.txt").read_text())
+    assert cfg.layer_dims == (32, 16, 3)
 
 
 def test_train_replay_from_config_file(train_run, tmp_path):
@@ -209,15 +212,6 @@ def test_config_file_layer_dims_must_match_the_data(tmp_path):
     assert rc == 2
     assert err.startswith("error:config: layer_dims: last width 10")
     assert "class count 3" in err
-
-
-def test_matching_layer_dims_train_that_net(tmp_path):
-    run_dir = tmp_path / "r"
-    rc, _, _ = run_cli(["train", *BLOB_ARGS, "--epochs", "1", "--seed", "0",
-                        "--out", str(run_dir)])
-    assert rc == 0
-    cfg = config_from_text((run_dir / "config.txt").read_text())
-    assert cfg.layer_dims == (32, 16, 3)
 
 
 @pytest.mark.parametrize("data", [b"\xff\xfeepochs = 1\n",

@@ -17,6 +17,7 @@ from weightsep import (
     trace,
     train,
 )
+from weightsep.linalg import _sweep_rounds
 
 
 def test_frobenius_equals_trace_of_gram():
@@ -167,13 +168,13 @@ def test_pca_k_too_large():
         pca_reduce(np.zeros((5, 3)), 4)
 
 
-def jacobi_projection(x, k):
-    """The PCA projection built from the Jacobi solver, with pca_reduce's
+def eigh_projection(x, k):
+    """The PCA projection built from LAPACK's eigensolver, with pca_reduce's
     sign convention: the reference pca_reduce is checked against."""
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
-    _, vecs = jacobi_eigh(cov)
-    basis = vecs[:, :k]
+    _, vecs = np.linalg.eigh(cov)
+    basis = vecs[:, ::-1][:, :k]  # eigh sorts ascending
     anchor = np.argmax(np.abs(basis), axis=0)
     return centered @ (basis * np.sign(basis[anchor, np.arange(k)]))
 
@@ -184,29 +185,38 @@ def assert_within_pca_tol(got, ref):
     assert np.all(np.abs(got - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_pca_matches_the_jacobi_projection_on_seeded_inputs():
+def test_pca_matches_the_eigh_projection_on_seeded_inputs():
     rng = np.random.default_rng(8)
     for _ in range(20):
         d = int(rng.integers(2, 12))
         x = rng.normal(size=(int(rng.integers(d + 2, 60)), d))
         x *= rng.uniform(0.5, 3.0, size=d)
         for k in sorted({1, min(3, d), d}):
-            assert_within_pca_tol(pca_reduce(x, k), jacobi_projection(x, k))
+            assert_within_pca_tol(pca_reduce(x, k), eigh_projection(x, k))
 
 
-def test_pca_matches_the_jacobi_projection_on_trained_latents():
+def test_pca_matches_the_eigh_projection_on_trained_latents():
     ds = synth_blobs(n_classes=10, per_class=30, dim=32, spread=0.08, seed=2)
     art = train(TrainConfig(layer_dims=(32, 64, 10), epochs=2, seed=4,
                             batch_size=32), ds)
     latents = latent_features(art.network, ds)
     assert latents.shape == (300, 64)
-    assert_within_pca_tol(pca_reduce(latents, 3), jacobi_projection(latents, 3))
+    assert_within_pca_tol(pca_reduce(latents, 3), eigh_projection(latents, 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 11, 64])
+def test_jacobi_rounds_meet_every_pair_once_in_disjoint_pairs(d):
+    rounds = _sweep_rounds(d)
+    pairs = [(int(p), int(q)) for ps, qs in rounds for p, q in zip(ps, qs)]
+    assert sorted(pairs) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+    for ps, qs in rounds:
+        assert len(set(ps) | set(qs)) == 2 * len(ps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_pca_overflowing_covariance_raises_numeric_error():
     x = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
-    with pytest.raises(NumericError, match="pca_reduce"):
+    with pytest.raises(NumericError, match="non-finite"):
         pca_reduce(x, 2)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="non-finite"):
         pca_reduce(np.vstack([x, -x]), 1)
