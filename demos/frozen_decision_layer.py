@@ -31,5 +31,5 @@ for arm in (result.orthonormal, result.random):
 # 3-D PCA projections of the test latents, one CSV per arm
 for arm in (result.orthonormal, result.random):
     path = f"latents_{arm.name}.csv"
-    ws.export_pca(arm.pca3, arm.labels, path)
+    ws.export_pca(arm.latents, arm.labels, path)
     print(f"wrote {path}")

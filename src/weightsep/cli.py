@@ -11,7 +11,7 @@ and exit with a category-specific nonzero code.
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -55,12 +55,16 @@ SYNTH_TEST_PER_CLASS = 100
 def _dataset_args(parser):
     parser.add_argument(
         "--data",
+        dest="data_source",
+        metavar="DATA",
         default=None,
         help="IDX directory, or 'digits'/'blobs' for synthetic data "
         f"(default: ${DATA_DIR_ENV} if set, else 'digits')",
     )
     parser.add_argument(
         "--classes",
+        dest="class_filter",
+        metavar="CLASSES",
         default=None,
         help="comma-separated class subset to keep, e.g. 0,1,5",
     )
@@ -128,9 +132,10 @@ def _split_blobs(n_classes, dim, seed):
     )
 
 
-def resolve_datasets(args, seed):
-    """(train, test) datasets from --data / env / synthetic fallback."""
-    source = args.data or os.environ.get(DATA_DIR_ENV) or "digits"
+def resolve_datasets(source, classes, seed):
+    """(source, train, test): ``source`` falls back to $WEIGHTSEP_DATA_DIR,
+    then to 'digits'; ``classes`` is the subset to keep, () for all."""
+    source = source or os.environ.get(DATA_DIR_ENV) or "digits"
     if source == "digits":
         train = synth_digits(SYNTH_TRAIN_PER_CLASS, seed)
         test = synth_digits(SYNTH_TEST_PER_CLASS, seed + 1_000_003)
@@ -138,10 +143,9 @@ def resolve_datasets(args, seed):
         train, test = _split_blobs(n_classes=10, dim=32, seed=seed)
     else:
         train, test = load_mnist_dir(source)
-    if args.classes:
-        keep = _parse_int_list(args.classes)
-        train = filter_classes(train, keep)
-        test = filter_classes(test, keep)
+    if classes:
+        train = filter_classes(train, classes)
+        test = filter_classes(test, classes)
     return source, train, test
 
 
@@ -157,48 +161,49 @@ def read_config(path):
     return harness.config_from_text(text)
 
 
-def build_config(args, train_ds, source):
-    """TrainConfig from an optional config file plus flag overrides."""
-    if args.config:
-        config = read_config(args.config)
-    else:
-        config = harness.default_config(train_ds, seed=0)
-    overrides = {}
-    for key in (
-        "epochs", "seed", "loss", "use_reconstruction", "lam", "batch_size",
-        "base_lr", "lr_factor", "momentum", "weight_decay", "freeze_final",
-        "final_init",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    dims = config.layer_dims
-    if args.layer_dims is not None:
-        dims = _parse_int_list(args.layer_dims)
-    if len(dims) < 2:
-        raise ConfigError(f"layer_dims needs an input and a class width, got {dims}")
-    if dims[0] != train_ds.dim:
-        raise ConfigError(f"layer_dims: first width {dims[0]} != the data's "
-                          f"input width {train_ds.dim}")
-    if dims[-1] != train_ds.n_classes:
-        raise ConfigError(f"layer_dims: last width {dims[-1]} != the data's "
-                          f"class count {train_ds.n_classes}")
-    overrides["layer_dims"] = dims
-    if args.milestones is not None:
-        overrides["milestones"] = _parse_int_list(args.milestones)
-    overrides["data_source"] = str(source)
-    if args.classes:
-        overrides["class_filter"] = _parse_int_list(args.classes)
-    return replace(config, **overrides)
+def build_config(args, seed=None, implicit_classes=()):
+    """(config, train, test) for a run. Flags override the --config file,
+    which overrides the defaults; each flag's dest is its TrainConfig field,
+    and its value gets the field's config-file check. The data come from
+    --data, else the file's data_source, else $WEIGHTSEP_DATA_DIR, else
+    'digits', drawn with ``seed`` if given, else the run's seed.
+    ``implicit_classes`` is the subset kept when no classes are named and
+    the data hold every class in it."""
+    values = {}
+    for f in fields(harness.TrainConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            continue
+        if f.type is tuple:
+            value = list(_parse_int_list(value))
+        what, fits = harness._FIELD_CHECKS[f.type]
+        if not fits(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        values[f.name] = tuple(value) if f.type is tuple else value
+    file_config = read_config(args.config) if args.config else None
+    merged = {**(asdict(file_config) if file_config else {}), **values}
+    classes = merged.get("class_filter", ())
+    source, train_ds, test_ds = resolve_datasets(
+        merged.get("data_source"), classes,
+        merged.get("seed", 0) if seed is None else seed)
+    if implicit_classes and not classes and (
+            max(implicit_classes) < train_ds.n_classes):
+        classes = implicit_classes
+        train_ds = filter_classes(train_ds, classes)
+        test_ds = filter_classes(test_ds, classes)
+    config = file_config or harness.default_config(train_ds, seed=0)
+    values.update(data_source=source, class_filter=classes)
+    return replace(config, **values), train_ds, test_ds
+
+
+def _test_set(args):
+    """The test split a checkpoint command reads; it takes no config."""
+    classes = _parse_int_list(args.class_filter or "")
+    return resolve_datasets(args.data_source, classes, args.seed or 0)[2]
 
 
 def cmd_train(args):
-    seed = args.seed
-    if seed is None and args.config:
-        # replaying a recorded config: its seed also governs synthetic data
-        seed = read_config(args.config).seed
-    source, train_ds, test_ds = resolve_datasets(args, seed or 0)
-    config = build_config(args, train_ds, source)
+    config, train_ds, test_ds = build_config(args)
     artifact = harness.train(config, train_ds, eval_ds=test_ds)
     harness.write_run_artifact(artifact, args.out)
     final = artifact.records[-1]
@@ -212,11 +217,7 @@ def cmd_train(args):
 
 
 def cmd_frozen_linearity(args):
-    source, train_ds, test_ds = resolve_datasets(args, args.seed)
-    if args.classes is None and train_ds.n_classes >= 6:
-        train_ds = filter_classes(train_ds, (0, 1, 5))
-        test_ds = filter_classes(test_ds, (0, 1, 5))
-    config = build_config(args, train_ds, source)
+    config, train_ds, test_ds = build_config(args, implicit_classes=(0, 1, 5))
     result = harness.experiment_frozen_linearity(
         train_ds, test_ds, args.seed, config=config
     )
@@ -228,15 +229,14 @@ def cmd_frozen_linearity(args):
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"latents_{arm.name}.csv")
-            harness.export_pca(arm.pca3, arm.labels, path)
+            harness.export_pca(arm.latents, arm.labels, path)
             print(f"{'':>12}  3-D latent export: {path}")
     return 0
 
 
 def cmd_loss_compare(args):
     seeds = _parse_nonempty_int_list(args.seeds, "--seeds")
-    source, train_ds, test_ds = resolve_datasets(args, seeds[0])
-    config = build_config(args, train_ds, source)
+    config, train_ds, test_ds = build_config(args, seeds[0])
     result = harness.experiment_loss_comparison(
         train_ds, test_ds, seeds, config=config
     )
@@ -252,7 +252,7 @@ def cmd_loss_compare(args):
 
 
 def cmd_similarity(args):
-    _, train_ds, test_ds = resolve_datasets(args, args.seed or 0)
+    test_ds = _test_set(args)
     net = harness.load_checkpoint(args.checkpoint)
     rows = harness.similarity_report(net, test_ds)
     print(f"{'class':>5} {'euclidean':>12} {'cosine dist':>12}")
@@ -273,7 +273,7 @@ def cmd_eval_metric(args):
 
 
 def cmd_export_pca(args):
-    _, train_ds, test_ds = resolve_datasets(args, args.seed or 0)
+    test_ds = _test_set(args)
     net = harness.load_checkpoint(args.checkpoint)
     latents = harness.latent_features(net, test_ds)
     harness.export_pca(latents, test_ds.labels, args.out)

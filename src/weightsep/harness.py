@@ -165,20 +165,20 @@ def train(config, ds, eval_ds=None):
 
     Appends one :class:`MetricRecord` per step (batch loss parts, batch
     accuracy, decision-column separability) and, when ``eval_ds`` is given,
-    records its accuracy at each epoch end. Raises :class:`NumericError`
-    with the step index if the loss leaves the finite range.
+    records its accuracy at each epoch end. A ``layer_dims`` that does not
+    fit ``ds`` raises :class:`ConfigError`; a loss that leaves the finite
+    range raises :class:`NumericError` with the step index.
     """
+    dims = config.layer_dims
+    if len(dims) < 2:
+        raise ConfigError(f"layer_dims needs an input and a class width, got {dims}")
+    if dims[0] != ds.dim:
+        raise ConfigError(f"layer_dims: first width {dims[0]} != the data's "
+                          f"input width {ds.dim}")
+    if dims[-1] != ds.n_classes:
+        raise ConfigError(f"layer_dims: last width {dims[-1]} != the data's "
+                          f"class count {ds.n_classes}")
     spec = config.network_spec()
-    if ds.n_classes != spec.n_classes:
-        raise ConfigError(
-            f"dataset has {ds.n_classes} classes but the network ends "
-            f"in {spec.n_classes}"
-        )
-    if ds.dim != spec.input_dim:
-        raise ConfigError(
-            f"dataset features have {ds.dim} dims but the network takes "
-            f"{spec.input_dim}"
-        )
 
     net = init_network(spec, config.seed, final_init=config.final_init)
     params = net.parameters()
@@ -217,9 +217,8 @@ def train(config, ds, eval_ds=None):
             re_value = 0.0
             w_grad = None
             if config.use_reconstruction:
-                onehot = losses.one_hot(labels, spec.n_classes)
                 re_value, re_latent, re_w = losses.reconstruction_loss(
-                    latent, onehot, net.final_weight
+                    latent, labels, net.final_weight
                 )
                 re_latent = config.lam * re_latent
                 latent_grad = (
@@ -283,7 +282,7 @@ class FrozenArm:
     accuracy: float
     epsilon: float
     epsilon_steps: tuple
-    pca3: np.ndarray
+    latents: np.ndarray
     labels: np.ndarray
 
 
@@ -296,8 +295,7 @@ class FrozenLinearityResult:
 def experiment_frozen_linearity(train_ds, test_ds, seed, config=None):
     """Train twin networks whose decision layer never updates: one arm gets
     orthonormal columns, the other raw uniform [-1, 1] columns. Reports both
-    test accuracies, both separability scores, and 3-D projections of the
-    test latents."""
+    test accuracies, both separability scores, and the test latents."""
     if config is None:
         config = default_config(train_ds, seed)
     arms = []
@@ -307,14 +305,13 @@ def experiment_frozen_linearity(train_ds, test_ds, seed, config=None):
     ):
         cfg = replace(config, seed=seed, freeze_final=True, final_init=final_init)
         artifact = train(cfg, train_ds, eval_ds=test_ds)
-        latents = latent_features(artifact.network, test_ds)
         arms.append(
             FrozenArm(
                 name=name,
                 accuracy=artifact.eval_accuracy[-1],
                 epsilon=artifact.report.epsilon,
                 epsilon_steps=tuple(r.epsilon for r in artifact.records),
-                pca3=pca_reduce(latents, min(3, latents.shape[1])),
+                latents=latent_features(artifact.network, test_ds),
                 labels=test_ds.labels.copy(),
             )
         )

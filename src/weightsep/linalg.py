@@ -17,7 +17,8 @@ from .errors import NumericError, ShapeError, SingularMatrixError
 # Columns whose remaining norm falls below this are treated as rank-deficient.
 QR_PIVOT_TOL = 1e-12
 
-# Jacobi sweeps stop once the off-diagonal Frobenius norm is below this.
+# Jacobi sweeps stop once the off-diagonal Frobenius norm is at most this
+# fraction of the matrix's Frobenius norm.
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
@@ -140,7 +141,9 @@ def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue, with
     eigenvectors in columns. Convergence is declared when the off-diagonal
-    Frobenius norm drops below ``tol``. A sweep rotates every index pair once,
+    Frobenius norm is at most ``tol`` times that of ``a`` (which rotations
+    keep), so the stop does not depend on the matrix's scale; a zero matrix
+    returns at once. A sweep rotates every index pair once,
     in the rounds of :func:`_sweep_rounds`. The pairs of a round are disjoint,
     so their rotations commute and are applied together as one orthogonal
     matrix.
@@ -156,13 +159,16 @@ def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     v = np.eye(d)
     off_mask = ~np.eye(d, dtype=bool)
     rounds = _sweep_rounds(d)
+    stop = tol * np.linalg.norm(a)
+    if not np.isfinite(stop):
+        raise NumericError("jacobi_eigh: the matrix's norm overflows")
     for _ in range(max_sweeps):
         off = np.sqrt(np.sum(a[off_mask] ** 2))
-        if off < tol:
+        if off <= stop:
             break
         for p, q in rounds:
             apq = a[p, q]
-            turn = np.abs(apq) >= tol / (d * d + 1)
+            turn = np.abs(apq) > stop / (d * d + 1)
             if not turn.any():
                 continue
             tau = (a[q, q] - a[p, p]) / (2.0 * np.where(turn, apq, 1.0))

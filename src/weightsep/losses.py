@@ -136,41 +136,28 @@ def center_loss(latent, labels, state):
     return loss, grad, CenterState(new_centers, state.update_rate)
 
 
-def _check_one_hot(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"one-hot labels must be 2-D, got ndim={rows.ndim}")
-    is_unit = ((rows == 0.0) | (rows == 1.0)).all()
-    if not is_unit or not (rows.sum(axis=1) == 1.0).all():
-        bad = int(np.argmax((rows.sum(axis=1) != 1.0)
-                            | np.any((rows != 0.0) & (rows != 1.0), axis=1)))
-        raise DataError(f"row {bad} is not a one-hot vector")
-    return rows
-
-
-def reconstruction_loss(latent, onehot_labels, w):
+def reconstruction_loss(latent, labels, w):
     """Feed-backward reconstruction loss with exact gradients.
 
-    Each one-hot row is mapped back through the transposed decision weight,
-    giving a reconstruction of the latent feature; the loss is the mean KL
-    divergence between softmax(latent) and softmax(reconstruction), taken
-    over the latent components. Returns (loss, dloss/dlatent, dloss/dw);
-    the weight gradient is the direct term through the reconstruction path.
+    Each integer label's one-hot row is mapped back through the transposed
+    decision weight, giving a reconstruction of the latent feature; the loss
+    is the mean KL divergence between softmax(latent) and
+    softmax(reconstruction), taken over the latent components. Returns
+    (loss, dloss/dlatent, dloss/dw); the weight gradient is the direct term
+    through the reconstruction path.
     """
     latent = np.asarray(latent, dtype=np.float64)
-    onehot_labels = _check_one_hot(onehot_labels)
     w = np.asarray(w, dtype=np.float64)
     if latent.ndim != 2 or w.ndim != 2:
         raise ShapeError("latent and w must be 2-D")
     b, m = latent.shape
     if w.shape[0] != m:
         raise ShapeError(f"w rows {w.shape[0]} != latent width {m}")
-    if onehot_labels.shape != (b, w.shape[1]):
-        raise ShapeError(
-            f"one-hot shape {onehot_labels.shape} != ({b}, {w.shape[1]})"
-        )
+    onehot = one_hot(labels, w.shape[1])
+    if onehot.shape[0] != b:
+        raise ShapeError(f"{onehot.shape[0]} labels for {b} latent rows")
 
-    recon = onehot_labels @ w.T
+    recon = onehot @ w.T
     logp = log_softmax(latent, axis=1)
     logq = log_softmax(recon, axis=1)
     p = np.exp(logp)
@@ -182,7 +169,7 @@ def reconstruction_loss(latent, onehot_labels, w):
 
     latent_grad = p * (log_ratio - kl[:, None]) / b
     recon_grad = (q - p) / b
-    w_grad = recon_grad.T @ onehot_labels
+    w_grad = recon_grad.T @ onehot
     return loss, latent_grad, w_grad
 
 

@@ -82,6 +82,12 @@ def epoch_epsilons(artifact):
     return np.array([by_epoch[e] for e in sorted(by_epoch)])
 
 
+# Pins BLAS to one thread in a child process: OpenBLAS splits the larger
+# matrix products across threads, and the split changes their rounding.
+SINGLE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                     "MKL_NUM_THREADS": "1"}
+
+
 # One JSON value of each type; every config field meets each of them.
 JSON_PROBES = ("null", "true", "1", "1.5", '"x"', "[]", "[1]", "{}")
 

@@ -116,7 +116,6 @@ def test_criterion_03_gradient_suite(report):
         d = int(rng.integers(2, 17))
         n = int(rng.integers(2, d + 1))
         labels = rng.integers(0, n, size=b)
-        oh = ws.one_hot(labels, n)
         w = rng.normal(size=(d, n))
         latent = rng.normal(size=(b, d))
         logits = rng.normal(size=(b, n))
@@ -133,23 +132,23 @@ def test_criterion_03_gradient_suite(report):
             lambda: ws.center_loss(latent, labels, state)[0], latent)
         worst["center"] = max(worst["center"], rel_err(g, fd))
 
-        _, g_lat, g_w = ws.reconstruction_loss(latent, oh, w)
+        _, g_lat, g_w = ws.reconstruction_loss(latent, labels, w)
         fd = central_difference(
-            lambda: ws.reconstruction_loss(latent, oh, w)[0], latent)
+            lambda: ws.reconstruction_loss(latent, labels, w)[0], latent)
         worst["re_latent"] = max(worst["re_latent"], rel_err(g_lat, fd))
         fd = central_difference(
-            lambda: ws.reconstruction_loss(latent, oh, w)[0], w)
+            lambda: ws.reconstruction_loss(latent, labels, w)[0], w)
         worst["re_w"] = max(worst["re_w"], rel_err(g_w, fd))
 
         # composed objective: cross entropy of latent @ w plus weighted
         # reconstruction, gradients routed into both latent and w
         def f_total():
             cls = ws.softmax_cross_entropy(latent @ w, labels)[0]
-            re = ws.reconstruction_loss(latent, oh, w)[0]
+            re = ws.reconstruction_loss(latent, labels, w)[0]
             return cls + lam * re
 
         _, g_logit = ws.softmax_cross_entropy(latent @ w, labels)
-        _, g_lat_re, g_w_re = ws.reconstruction_loss(latent, oh, w)
+        _, g_lat_re, g_w_re = ws.reconstruction_loss(latent, labels, w)
         g_lat_total = g_logit @ w.T + lam * g_lat_re
         g_w_total = latent.T @ g_logit + lam * g_w_re
         worst["total_latent"] = max(
@@ -173,17 +172,16 @@ def test_criterion_04_kl_properties(report):
         d = int(rng.integers(2, 17))
         n = int(rng.integers(2, d + 1))
         labels = rng.integers(0, n, size=b)
-        oh = ws.one_hot(labels, n)
         w = rng.normal(size=(d, n))
         latent = rng.normal(size=(b, d))
-        loss, _, _ = ws.reconstruction_loss(latent, oh, w)
+        loss, _, _ = ws.reconstruction_loss(latent, labels, w)
         min_loss = min(min_loss, loss)
         # perfect reconstruction: each latent row equals its label's column
         perfect = w[:, labels].T.copy()
-        ploss, _, _ = ws.reconstruction_loss(perfect, oh, w)
+        ploss, _, _ = ws.reconstruction_loss(perfect, labels, w)
         worst_perfect = max(worst_perfect, abs(ploss))
         shifted, _, _ = ws.reconstruction_loss(
-            latent + float(rng.uniform(-20, 20)), oh, w)
+            latent + float(rng.uniform(-20, 20)), labels, w)
         worst_shift = max(worst_shift, abs(shifted - loss))
     elapsed = time.perf_counter() - start
     ok = min_loss >= 0.0 and worst_perfect < 1e-12 and worst_shift < 1e-10

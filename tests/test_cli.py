@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 import weightsep
-from weightsep import Dataset, config_from_text, write_idx
+from weightsep import Dataset, cli, config_from_text, write_idx
 from weightsep.cli import main
 
-from conftest import JSON_PROBES, config_with, rewrite_checkpoint
+from conftest import (JSON_PROBES, SINGLE_THREAD_ENV, config_with,
+                      rewrite_checkpoint)
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "0,1,2",
              "--layer-dims", "32,16,3"]
@@ -63,13 +64,103 @@ def test_train_writes_artifacts(train_run):
 def test_train_replay_from_config_file(train_run, tmp_path):
     _, _, run_dir = train_run
     rc, _, _ = run_cli(
-        ["train", *BLOB_ARGS, "--config", str(run_dir / "config.txt"),
+        ["train", "--config", str(run_dir / "config.txt"),
          "--out", str(tmp_path / "replay")]
     )
     assert rc == 0
     a = (run_dir / "metrics.csv").read_text()
     b = (tmp_path / "replay" / "metrics.csv").read_text()
     assert a == b
+
+
+def checkout_env(**extra):
+    """The environment with ``extra`` set and this checkout's src/ first on
+    PYTHONPATH, so a child process imports this weightsep with no install."""
+    src = str(Path(weightsep.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def weightsep_one_thread(argv, cwd):
+    """Run ``python -m weightsep`` with BLAS pinned to one thread, so a run's
+    bytes do not hang on the thread split, and no data directory set."""
+    env = checkout_env(**SINGLE_THREAD_ENV)
+    env.pop("WEIGHTSEP_DATA_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "weightsep", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--data", "blobs", "--classes", "0,1,2", "--layer-dims", "32,16,3",
+     "--epochs", "2", "--seed", "3"],
+    ["--data", "digits", "--epochs", "1", "--seed", "2"],
+], ids=["blobs-classes", "digits"])
+def test_config_file_alone_replays_the_run_byte_for_byte(tmp_path, flags):
+    weightsep_one_thread(["train", *flags, "--out", "r1"], tmp_path)
+    weightsep_one_thread(["train", "--config", "r1/config.txt", "--out", "r2"],
+                         tmp_path)
+    for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
+        assert (tmp_path / "r1" / name).read_bytes() == \
+            (tmp_path / "r2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags, data_source, class_filter", [
+    (["--classes", "0,1,2,3", "--layer-dims", "32,16,4"], "blobs",
+     (0, 1, 2, 3)),
+    (["--data", "digits", "--layer-dims", "784,16,3"], "digits", (0, 1, 2)),
+], ids=["classes", "data"])
+def test_data_flags_override_the_config_file(train_run, tmp_path, flags,
+                                             data_source, class_filter):
+    _, _, run_dir = train_run
+    rc, _, err = run_cli(["train", "--config", str(run_dir / "config.txt"),
+                          *flags, "--epochs", "1", "--out", str(tmp_path / "r")])
+    assert rc == 0, err
+    cfg = config_from_text((tmp_path / "r" / "config.txt").read_text())
+    assert (cfg.data_source, cfg.class_filter) == (data_source, class_filter)
+
+
+def test_config_file_data_source_wins_over_the_env_var(train_run, tmp_path,
+                                                       monkeypatch):
+    _, _, run_dir = train_run
+    monkeypatch.setenv("WEIGHTSEP_DATA_DIR", str(tmp_path / "absent"))
+    rc, _, err = run_cli(["train", "--config", str(run_dir / "config.txt"),
+                          "--epochs", "1", "--out", str(tmp_path / "r")])
+    assert rc == 0, err
+    cfg = config_from_text((tmp_path / "r" / "config.txt").read_text())
+    assert cfg.data_source == "blobs"
+
+
+def test_train_reads_the_config_file_once(train_run, tmp_path, monkeypatch):
+    _, _, run_dir = train_run
+    calls = []
+    read = cli.read_config
+    monkeypatch.setattr(cli, "read_config",
+                        lambda path: calls.append(path) or read(path))
+    rc, _, err = run_cli(["train", "--config", str(run_dir / "config.txt"),
+                          "--epochs", "1", "--out", str(tmp_path / "r")])
+    assert rc == 0, err
+    assert calls == [str(run_dir / "config.txt")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lam", "--base-lr", "--lr-factor",
+                                  "--momentum", "--weight-decay"])
+def test_non_finite_float_flag_exits_2_before_loading_data(
+        tmp_path, monkeypatch, flag, value):
+    def no_data(*args):
+        raise AssertionError("data loaded before the flags were checked")
+
+    monkeypatch.setattr(cli, "resolve_datasets", no_data)
+    run_dir = tmp_path / "r"
+    rc, _, err = run_cli(["train", "--data", "blobs", f"{flag}={value}",
+                          "--out", str(run_dir)])
+    assert rc == 2
+    assert err.startswith("error:config:") and "a finite number" in err
+    assert not run_dir.exists()
 
 
 def test_eval_metric_prints_both_forms(train_run):
@@ -393,10 +484,7 @@ def test_console_script_installed():
     module, attr = declared_console_script("weightsep").split(":")
     # What an installer's wrapper script runs, with this checkout's src/
     # ahead of any other weightsep on the path.
-    src = str(Path(weightsep.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = checkout_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys; from {module} import {attr}; sys.exit({attr}())",
@@ -413,10 +501,7 @@ def test_console_script_installed():
 def test_python_dash_m_runs_without_install(tmp_path):
     # Runs this checkout's package as ``python -m weightsep``, with its src/
     # ahead of any other weightsep on the path.
-    src = str(Path(weightsep.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = checkout_env()
     proc = subprocess.run(
         [sys.executable, "-m", "weightsep", "--help"],
         capture_output=True, text=True, env=env, timeout=60,

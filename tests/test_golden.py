@@ -29,6 +29,8 @@ import pytest
 
 import weightsep as ws
 
+from conftest import SINGLE_THREAD_ENV
+
 # CE + center + reconstruction on ten 32-d blobs, batch 32: most batches
 # miss at least one class, so the center update's absent-class path runs.
 BLOBS_SHA256 = (
@@ -60,10 +62,6 @@ DIGITS_SHA256 = (
 # The build the hashes above were recorded with, as blas_build() reports it.
 RECORDED_BLAS = {"name": "scipy-openblas", "version": "0.3.31.188.0",
                  "machine": "x86_64"}
-
-SINGLE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                     "MKL_NUM_THREADS": "1"}
-
 
 def sha256_of(data):
     if isinstance(data, str):

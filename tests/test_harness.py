@@ -261,7 +261,7 @@ def test_train_step_composes_gradient_seeds(blobs_small):
                                    cfg.center_rate)
     c, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
     re, re_latent, re_w = ws.reconstruction_loss(
-        tr.latent, ws.one_hot(labels, spec.n_classes), net.final_weight)
+        tr.latent, labels, net.final_weight)
     grads = ws.backward(net, tr, logit_grad, center_grad + cfg.lam * re_latent,
                         cfg.lam * re_w)
     params = net.parameters()
@@ -536,7 +536,7 @@ def test_frozen_linearity_experiment_small(blobs_small):
     # the random [-1,1] arm is frozen too: constant but visibly non-orthonormal
     assert len(set(res.random.epsilon_steps)) == 1
     assert res.random.epsilon > res.orthonormal.epsilon
-    assert res.orthonormal.pca3.shape == (len(blobs_small), 3)
+    assert res.orthonormal.latents.shape == (len(blobs_small), 16)
 
 
 def test_loss_comparison_experiment_small(blobs_small):

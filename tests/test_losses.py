@@ -252,9 +252,8 @@ def test_reconstruction_zero_when_latent_equals_column():
     # distributions on both sides
     w = semi_orthogonal_init(6, 3, 4)
     labels = np.array([0, 2, 1, 2])
-    onehot = one_hot(labels, 3)
-    latent = onehot @ w.T
-    loss, lat_g, w_g = reconstruction_loss(latent, onehot, w)
+    latent = one_hot(labels, 3) @ w.T
+    loss, lat_g, w_g = reconstruction_loss(latent, labels, w)
     assert abs(loss) < 1e-12
     assert np.max(np.abs(lat_g)) < 1e-12
     assert np.max(np.abs(w_g)) < 1e-12
@@ -263,9 +262,8 @@ def test_reconstruction_zero_when_latent_equals_column():
 def test_reconstruction_golden_hand_value():
     # m=2, n=1: alpha=(ln2, 0), zero column. P=(2/3,1/3), Q=(1/2,1/2)
     latent = np.array([[np.log(2.0), 0.0]])
-    onehot = np.array([[1.0]])
     w = np.zeros((2, 1))
-    loss, _, _ = reconstruction_loss(latent, onehot, w)
+    loss, _, _ = reconstruction_loss(latent, np.array([0]), w)
     expect = (2 / 3) * np.log(4 / 3) + (1 / 3) * np.log(2 / 3)
     assert abs(loss - expect) < 1e-12
 
@@ -277,7 +275,7 @@ def test_reconstruction_nonnegative_fuzz():
         latent = rng.normal(size=(b, m)) * 3
         labels = rng.integers(0, n, size=b)
         w = rng.normal(size=(m, n))
-        loss, _, _ = reconstruction_loss(latent, one_hot(labels, n), w)
+        loss, _, _ = reconstruction_loss(latent, labels, w)
         assert loss >= 0.0
 
 
@@ -285,25 +283,27 @@ def test_reconstruction_shift_insensitive():
     rng = np.random.default_rng(35)
     latent = rng.normal(size=(4, 5))
     labels = rng.integers(0, 3, size=4)
-    onehot = one_hot(labels, 3)
     w = rng.normal(size=(5, 3))
-    base, _, _ = reconstruction_loss(latent, onehot, w)
-    shifted_latent, _, _ = reconstruction_loss(latent + 11.5, onehot, w)
+    base, _, _ = reconstruction_loss(latent, labels, w)
+    shifted_latent, _, _ = reconstruction_loss(latent + 11.5, labels, w)
     assert abs(base - shifted_latent) < 1e-10
     # shifting a whole decision column shifts the reconstruction the same way
     w2 = w + 3.25
-    shifted_recon, _, _ = reconstruction_loss(latent, onehot, w2)
+    shifted_recon, _, _ = reconstruction_loss(latent, labels, w2)
     assert abs(base - shifted_recon) < 1e-10
 
 
-def test_reconstruction_rejects_bad_one_hot():
+def test_reconstruction_rejects_bad_labels():
     latent = np.zeros((2, 3))
     w = np.zeros((3, 2))
-    with pytest.raises(DataError) as err:
-        reconstruction_loss(latent, np.array([[1.0, 1.0], [1.0, 0.0]]), w)
-    assert "row 0" in str(err.value)
-    with pytest.raises(DataError):
-        reconstruction_loss(latent, np.array([[0.5, 0.5], [1.0, 0.0]]), w)
+    for out_of_range in ([0, 2], [-1, 0]):
+        with pytest.raises(DataError, match="out of range"):
+            reconstruction_loss(latent, np.array(out_of_range), w)
+    for wrong_length in ([0], [0, 1, 1]):
+        with pytest.raises(ShapeError, match="labels for 2 latent rows"):
+            reconstruction_loss(latent, np.array(wrong_length), w)
+    with pytest.raises(ShapeError, match="1-D"):
+        reconstruction_loss(latent, np.array([[0, 1]]), w)
 
 
 def test_reconstruction_finite_differences_both_gradients():
@@ -312,14 +312,13 @@ def test_reconstruction_finite_differences_both_gradients():
         b, m, n = 4, 5, 3
         latent = rng.normal(size=(b, m))
         labels = rng.integers(0, n, size=b)
-        onehot = one_hot(labels, n)
         w = rng.normal(size=(m, n))
-        _, lat_g, w_g = reconstruction_loss(latent, onehot, w)
+        _, lat_g, w_g = reconstruction_loss(latent, labels, w)
         fd_lat = central_difference_scalar(
-            lambda: reconstruction_loss(latent, onehot, w)[0], latent
+            lambda: reconstruction_loss(latent, labels, w)[0], latent
         )
         fd_w = central_difference_scalar(
-            lambda: reconstruction_loss(latent, onehot, w)[0], w
+            lambda: reconstruction_loss(latent, labels, w)[0], w
         )
         assert rel_err(fd_lat, lat_g) < 1e-4
         assert rel_err(fd_w, w_g) < 1e-4

@@ -319,14 +319,13 @@ def test_backward_all_seeds_match_finite_differences():
         net = tiny_net((6, 9, 5, 4), seed=trial)
         batch = rng.normal(size=(3, 6))
         labels = rng.integers(0, 4, size=3)
-        onehot = ws.one_hot(labels, 4)
         centers = ws.CenterState(centers=rng.normal(size=(4, 5)))
 
         tr = forward(net, batch)
         _, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
         _, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
         _, re_latent, re_w = ws.reconstruction_loss(
-            tr.latent, onehot, net.final_weight
+            tr.latent, labels, net.final_weight
         )
         grads = backward(net, tr, logit_grad, center_grad + lam * re_latent,
                          lam * re_w)
@@ -339,7 +338,7 @@ def test_backward_all_seeds_match_finite_differences():
             return (ws.softmax_cross_entropy(t.logits, labels)[0]
                     + ws.center_loss(t.latent, labels, centers)[0]
                     + lam * ws.reconstruction_loss(
-                        t.latent, onehot, live.final_weight)[0])
+                        t.latent, labels, live.final_weight)[0])
 
         assert len(grads) == len(params)
         for p, g in zip(params, grads):
