@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,15 +24,9 @@ from .data import (
     synth_blobs,
     synth_digits,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    FormatError,
-    NumericError,
-    ShapeError,
-    WeightsepError,
-)
+from .errors import ConfigError, WeightsepError
 from .network import FINAL_INITS
+from .rng import check_seed
 from .separability import format_epsilon, separability_metric, separability_metric_trace_form
 
 DATA_DIR_ENV = "WEIGHTSEP_DATA_DIR"
@@ -70,30 +65,31 @@ def _dataset_args(parser):
     )
 
 
-def _config_args(parser, seed_required):
+def _config_args(parser, seed_required=False, skip=()):
+    """--config and a flag per TrainConfig field, less the fields in ``skip``:
+    those the subcommand's experiment sets for each of its runs."""
+    def add(flag, **kwargs):
+        if kwargs.setdefault("dest", flag[2:].replace("-", "_")) not in skip:
+            parser.add_argument(flag, default=None, **kwargs)
+
     parser.add_argument("--config", default=None, help="config file to start from")
-    parser.add_argument("--layer-dims", default=None,
-                        help="comma-separated widths: the data's input width, "
-                        "hidden widths, the class count")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--seed", type=int, required=seed_required, default=None)
-    parser.add_argument("--loss", choices=harness.LOSS_KINDS, default=None)
-    parser.add_argument("--reconstruction", dest="use_reconstruction",
-                        action="store_true", default=None,
-                        help="add the feed-backward reconstruction term")
-    parser.add_argument("--no-reconstruction", dest="use_reconstruction",
-                        action="store_false")
-    parser.add_argument("--lam", type=float, default=None,
-                        help="reconstruction loss weight")
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--base-lr", type=float, default=None)
-    parser.add_argument("--milestones", default=None,
-                        help="comma-separated epochs where the rate drops")
-    parser.add_argument("--lr-factor", type=float, default=None)
-    parser.add_argument("--momentum", type=float, default=None)
-    parser.add_argument("--weight-decay", type=float, default=None)
-    parser.add_argument("--freeze-final", action="store_true", default=None)
-    parser.add_argument("--final-init", choices=FINAL_INITS, default=None)
+    add("--layer-dims", help="comma-separated widths: the data's input width, "
+        "hidden widths, the class count")
+    add("--epochs", type=int)
+    add("--seed", type=int, required=seed_required)
+    add("--loss", choices=harness.LOSS_KINDS)
+    add("--reconstruction", dest="use_reconstruction", action="store_true",
+        help="add the feed-backward reconstruction term")
+    add("--no-reconstruction", dest="use_reconstruction", action="store_false")
+    add("--lam", type=float, help="reconstruction loss weight")
+    add("--batch-size", type=int)
+    add("--base-lr", type=float)
+    add("--milestones", help="comma-separated epochs where the rate drops")
+    add("--lr-factor", type=float)
+    add("--momentum", type=float)
+    add("--weight-decay", type=float)
+    add("--freeze-final", action="store_true")
+    add("--final-init", choices=FINAL_INITS)
 
 
 def _parse_int_list(text):
@@ -101,13 +97,6 @@ def _parse_int_list(text):
         return tuple(int(x) for x in str(text).split(",") if x != "")
     except ValueError as e:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
-
-
-def _parse_nonempty_int_list(text, flag):
-    values = _parse_int_list(text)
-    if not values:
-        raise ConfigError(f"{flag} needs at least one integer, got {text!r}")
-    return values
 
 
 def _slice_dataset(ds, index):
@@ -152,23 +141,22 @@ def resolve_datasets(source, classes, seed):
 def read_config(path):
     """TrainConfig from a config file. The file must be UTF-8; other bytes
     are a ConfigError."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        text = data.decode("utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     return harness.config_from_text(text)
 
 
-def build_config(args, seed=None, implicit_classes=()):
+def build_config(args, implicit_classes=()):
     """(config, train, test) for a run. Flags override the --config file,
     which overrides the defaults; each flag's dest is its TrainConfig field,
-    and its value gets the field's config-file check. The data come from
-    --data, else the file's data_source, else $WEIGHTSEP_DATA_DIR, else
-    'digits', drawn with ``seed`` if given, else the run's seed.
-    ``implicit_classes`` is the subset kept when no classes are named and
-    the data hold every class in it."""
+    and its value gets the field's config-file check. Every value is checked
+    before the data load. The data come from --data, else the file's
+    data_source, else $WEIGHTSEP_DATA_DIR, else 'digits', drawn with the
+    run's seed. ``implicit_classes`` is the subset kept when no classes are
+    named and the data hold every class in it."""
     values = {}
     for f in fields(harness.TrainConfig):
         value = getattr(args, f.name, None)
@@ -182,10 +170,11 @@ def build_config(args, seed=None, implicit_classes=()):
         values[f.name] = tuple(value) if f.type is tuple else value
     file_config = read_config(args.config) if args.config else None
     merged = {**(asdict(file_config) if file_config else {}), **values}
+    # Checks every value now; the three fields with no default get stand-ins.
+    harness.TrainConfig(**{"layer_dims": (), "epochs": 1, "seed": 0, **merged})
     classes = merged.get("class_filter", ())
     source, train_ds, test_ds = resolve_datasets(
-        merged.get("data_source"), classes,
-        merged.get("seed", 0) if seed is None else seed)
+        merged.get("data_source"), classes, merged.get("seed", 0))
     if implicit_classes and not classes and (
             max(implicit_classes) < train_ds.n_classes):
         classes = implicit_classes
@@ -198,8 +187,9 @@ def build_config(args, seed=None, implicit_classes=()):
 
 def _test_set(args):
     """The test split a checkpoint command reads; it takes no config."""
+    seed = check_seed(args.seed or 0)
     classes = _parse_int_list(args.class_filter or "")
-    return resolve_datasets(args.data_source, classes, args.seed or 0)[2]
+    return resolve_datasets(args.data_source, classes, seed)[2]
 
 
 def cmd_train(args):
@@ -235,8 +225,12 @@ def cmd_frozen_linearity(args):
 
 
 def cmd_loss_compare(args):
-    seeds = _parse_nonempty_int_list(args.seeds, "--seeds")
-    config, train_ds, test_ds = build_config(args, seeds[0])
+    seeds = tuple(map(check_seed, _parse_int_list(args.seeds)))
+    if not seeds:
+        raise ConfigError(f"--seeds needs at least one integer, got {args.seeds!r}")
+    # The first seed draws the data; the experiment sets each run's seed.
+    args.seed = seeds[0]
+    config, train_ds, test_ds = build_config(args)
     result = harness.experiment_loss_comparison(
         train_ds, test_ds, seeds, config=config
     )
@@ -284,14 +278,17 @@ def cmd_export_pca(args):
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="weightsep",
+        allow_abbrev=False,
         description="Decision-column separability metrics and feed-backward "
         "reconstruction training for dense classifiers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("train", help="run one training configuration")
     _dataset_args(p)
-    _config_args(p, seed_required=False)
+    _config_args(p)
     p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=cmd_train)
 
@@ -300,7 +297,7 @@ def make_parser():
         help="compare frozen orthonormal vs frozen random decision columns",
     )
     _dataset_args(p)
-    _config_args(p, seed_required=True)
+    _config_args(p, seed_required=True, skip=("freeze_final", "final_init"))
     p.add_argument("--out", default=None, help="directory for latent exports")
     p.set_defaults(func=cmd_frozen_linearity)
 
@@ -309,7 +306,7 @@ def make_parser():
         help="accuracy/separability table over the loss menu",
     )
     _dataset_args(p)
-    _config_args(p, seed_required=False)
+    _config_args(p, skip=("seed", "loss", "use_reconstruction"))
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.set_defaults(func=cmd_loss_compare)
 

@@ -34,6 +34,7 @@ from .network import (
     init_network,
     mlp_spec,
 )
+from .rng import check_seed
 # The two single-form metrics are not called here; they stay importable
 # from this module for callers that look the metric names up on it.
 from .separability import (  # noqa: F401
@@ -89,10 +90,13 @@ class TrainConfig:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if not 0.0 < self.center_rate <= 1.0:
             raise ConfigError(f"center_rate must be in (0, 1], got {self.center_rate}")
+        # These check their own values, so a bad config fails before any data.
+        self.schedule()
+        BatchPlan(self.batch_size, self.seed)
+        optim.SgdState.for_params((), self.momentum, self.weight_decay)
 
     def schedule(self):
         return optim.LrSchedule(
@@ -292,12 +296,11 @@ class FrozenLinearityResult:
     random: FrozenArm
 
 
-def experiment_frozen_linearity(train_ds, test_ds, seed, config=None):
+def experiment_frozen_linearity(train_ds, test_ds, seed, config):
     """Train twin networks whose decision layer never updates: one arm gets
-    orthonormal columns, the other raw uniform [-1, 1] columns. Reports both
-    test accuracies, both separability scores, and the test latents."""
-    if config is None:
-        config = default_config(train_ds, seed)
+    orthonormal columns, the other raw uniform [-1, 1] columns. Each arm is
+    ``config`` with ``seed``, ``freeze_final`` and ``final_init`` set. Reports
+    both test accuracies, both separability scores, and the test latents."""
     arms = []
     for name, final_init in (
         ("orthonormal", "semi_orthogonal"),
@@ -339,16 +342,11 @@ class LossComparisonResult:
     cells: tuple
     rank_correlation: float
 
-    def cell(self, loss, use_reconstruction):
-        for c in self.cells:
-            if c.loss == loss and c.use_reconstruction == use_reconstruction:
-                return c
-        raise KeyError((loss, use_reconstruction))
 
-
-def experiment_loss_comparison(train_ds, test_ds, seeds, config=None):
+def experiment_loss_comparison(train_ds, test_ds, seeds, config):
     """Train every loss-menu cell ({softmax CE, CE+center} x {with, without
-    the reconstruction term}) over the given seeds; report mean test
+    the reconstruction term}) over the given seeds; each run is ``config``
+    with ``seed``, ``loss`` and ``use_reconstruction`` set. Report mean test
     accuracy and mean final separability per cell, plus the Spearman rank
     correlation between cell accuracy and negated separability score."""
     from scipy.stats import spearmanr
@@ -356,8 +354,6 @@ def experiment_loss_comparison(train_ds, test_ds, seeds, config=None):
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
-    if config is None:
-        config = default_config(train_ds, seeds[0])
     cells = []
     for loss in LOSS_KINDS:
         for use_re in (False, True):
@@ -431,20 +427,16 @@ def similarity_report(net, ds):
 
 def export_pca(latents, labels, path, k=3):
     """Reduce latents to ``k`` principal components and write a CSV with
-    columns pc1..pck,label. Floats are written at full precision."""
+    columns pc1..pck,label, floats at full precision, whole or not at all."""
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
     reduced = pca_reduce(latents, min(k, latents.shape[1]))
-    try:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                [f"pc{i + 1}" for i in range(reduced.shape[1])] + ["label"]
-            )
-            for row, label in zip(reduced, labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    except OSError as e:
-        raise FormatError(f"cannot write PCA export to {path}: {e}") from e
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"pc{i + 1}" for i in range(reduced.shape[1])] + ["label"])
+    for row, label in zip(reduced, labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    _write_atomic(path, buf.getvalue().encode())
     return reduced
 
 

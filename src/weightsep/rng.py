@@ -8,12 +8,22 @@ one place never perturbs another, and reruns are bit-identical.
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Stream ids. Values are arbitrary but frozen; changing them changes replays.
 STREAM_INIT = 1
 STREAM_DATA = 2
 STREAM_BATCH = 3
 
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed):
+    """``seed`` if it is in [0, 2**64), else a :class:`ConfigError`. Every key
+    is masked to 64 bits, so a larger seed would replay a smaller one."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def generator(seed, *key):

@@ -8,6 +8,7 @@ and need no install: one runs the ``weightsep`` console script declared in
 reuses its checkpoint.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -15,13 +16,14 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import weightsep
-from weightsep import Dataset, cli, config_from_text, write_idx
+from weightsep import Dataset, cli, config_from_text, harness, write_idx
 from weightsep.cli import main
 
 from conftest import (JSON_PROBES, SINGLE_THREAD_ENV, config_with,
@@ -163,6 +165,65 @@ def test_non_finite_float_flag_exits_2_before_loading_data(
     assert not run_dir.exists()
 
 
+def fail_on_data_load(monkeypatch):
+    def no_data(*args):
+        raise AssertionError("data loaded before the values were checked")
+
+    monkeypatch.setattr(cli, "resolve_datasets", no_data)
+
+
+# key, config-file value, flag and flag value; each is out of range for the
+# schedule, the batch plan, the SGD state or the seed.
+BAD_VALUES = [
+    ("momentum", "1.0", "--momentum", "1.0"),
+    ("weight_decay", "-1", "--weight-decay", "-1"),
+    ("base_lr", "0", "--base-lr", "0"),
+    ("lr_factor", "1.5", "--lr-factor", "1.5"),
+    ("milestones", "[5, 3]", "--milestones", "5,3"),
+    ("batch_size", "0", "--batch-size", "0"),
+    ("seed", "-1", "--seed", "-1"),
+    ("seed", str(2**64), "--seed", str(2**64)),
+]
+
+
+@pytest.mark.parametrize("by", ["file", "flag"])
+@pytest.mark.parametrize("key, line, flag, value", BAD_VALUES,
+                         ids=[f"{b[0]}={b[1]}" for b in BAD_VALUES])
+def test_bad_config_value_exits_2_before_loading_data(
+        tmp_path, monkeypatch, by, key, line, flag, value):
+    fail_on_data_load(monkeypatch)
+    argv = ["train", "--data", "blobs"]
+    if by == "file":
+        base = weightsep.TrainConfig(layer_dims=(32, 8, 10), epochs=1, seed=0)
+        config = tmp_path / "config.txt"
+        config.write_text(config_with(weightsep.config_to_text(base), key, line))
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"{flag}={value}"]
+    run_dir = tmp_path / "r"
+    rc, _, err = run_cli(argv + ["--out", str(run_dir)])
+    assert rc == 2, err
+    assert err.startswith("error:config:")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ["similarity", "--data", "blobs", "--seed", "{seed}", "absent.bin"],
+    ["export-pca", "--data", "blobs", "--seed", "{seed}",
+     "--checkpoint", "absent.bin", "--out", "latents.csv"],
+    ["loss-compare", "--data", "blobs", "--seeds", "0,{seed}"],
+], ids=["similarity", "export-pca", "loss-compare"])
+def test_seed_outside_the_64_bit_range_exits_2(tmp_path, monkeypatch, argv,
+                                               seed):
+    fail_on_data_load(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli([a.format(seed=seed) for a in argv])
+    assert rc == 2
+    assert err.startswith(f"error:config: seed must be in [0, 2**64), got {seed}")
+    assert not (tmp_path / "latents.csv").exists()
+
+
 def test_eval_metric_prints_both_forms(train_run):
     _, _, run_dir = train_run
     rc, out, _ = run_cli(["eval-metric", str(run_dir / "checkpoint.bin")])
@@ -199,6 +260,25 @@ def test_export_pca_writes_csv(train_run, tmp_path):
     assert len(lines) == 301  # 3 classes x 100 test samples + header
 
 
+@pytest.mark.parametrize("out", ["file/latents.csv", "dir"],
+                         ids=["under-a-file", "a-directory"])
+def test_export_pca_to_an_unwritable_path_exits_5(train_run, tmp_path, out):
+    _, _, run_dir = train_run
+    (tmp_path / "file").write_text("not a directory")
+    (tmp_path / "dir").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc, _, err = run_cli(
+        ["export-pca", *BLOB_ARGS[:4], "--seed", "3",
+         "--checkpoint", str(run_dir / "checkpoint.bin"),
+         "--out", str(tmp_path / out)]
+    )
+    assert rc == 5
+    assert err.startswith("error:io:")
+    # no partial or temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not any((tmp_path / "dir").iterdir())
+
+
 def test_frozen_linearity_both_arms(tmp_path):
     rc, out, _ = run_cli(
         ["frozen-linearity", *BLOB_ARGS, "--seed", "1", "--epochs", "3",
@@ -218,6 +298,139 @@ def test_loss_compare_table(capsys):
     body = [l for l in out.splitlines() if l.startswith(" ")]
     assert len(body) >= 4
     assert "rank correlation" in out
+
+
+# --- the options each subcommand reads ---------------------------------
+
+
+def subcommand_parsers():
+    parser = cli.make_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return parser, sub.choices
+
+
+def options(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {
+        "-h", "--help"}
+
+
+RUN_OPTIONS = {
+    "--data", "--classes", "--config", "--layer-dims", "--epochs", "--seed",
+    "--loss", "--reconstruction", "--no-reconstruction", "--lam",
+    "--batch-size", "--base-lr", "--milestones", "--lr-factor", "--momentum",
+    "--weight-decay", "--freeze-final", "--final-init",
+}
+
+OPTION_SETS = {
+    "train": RUN_OPTIONS | {"--out"},
+    "frozen-linearity": RUN_OPTIONS - {"--freeze-final", "--final-init"}
+    | {"--out"},
+    "loss-compare": RUN_OPTIONS - {"--seed", "--loss", "--reconstruction",
+                                   "--no-reconstruction"} | {"--seeds"},
+    "similarity": {"--data", "--classes", "--seed"},
+    "eval-metric": set(),
+    "export-pca": {"--data", "--classes", "--seed", "--checkpoint", "--out"},
+}
+
+
+def test_each_subcommand_has_its_option_set():
+    parser, subs = subcommand_parsers()
+    assert {name: options(p) for name, p in subs.items()} == OPTION_SETS
+    assert [len(OPTION_SETS[n]) for n in
+            ("train", "frozen-linearity", "loss-compare")] == [19, 17, 15]
+    assert not parser.allow_abbrev
+    assert not any(p.allow_abbrev for p in subs.values())
+
+
+@pytest.mark.parametrize("name", ["train", "frozen-linearity", "loss-compare"])
+def test_every_run_flag_names_a_config_field(name):
+    # build_config reads flags by TrainConfig field name, so a flag with any
+    # other dest would be parsed and then ignored.
+    readable = set(weightsep.TrainConfig.__dataclass_fields__) | {
+        "help", "config", "out", "seeds"}
+    _, subs = subcommand_parsers()
+    assert {a.dest for a in subs[name]._actions} <= readable
+
+
+def fields_the_experiment_sets(monkeypatch, run):
+    """The TrainConfig fields whose values ``run(config)`` gives its training
+    runs in place of the ones in ``config``."""
+    base = weightsep.TrainConfig(layer_dims=(8, 4, 3), epochs=1, seed=0,
+                                 batch_size=40)
+    changed = set()
+    train = harness.train
+
+    def spy(config, ds, eval_ds=None):
+        changed.update(k for k, v in asdict(config).items()
+                       if v != getattr(base, k))
+        return train(config, ds, eval_ds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "train", spy)
+        run(base)
+    return changed
+
+
+def test_no_experiment_flag_is_overwritten(monkeypatch, blobs_small):
+    ds = blobs_small
+    frozen = fields_the_experiment_sets(
+        monkeypatch,
+        # the CLI passes --seed both in the config and as the arms' seed
+        lambda config: harness.experiment_frozen_linearity(
+            ds, ds, config.seed, config=config))
+    compare = fields_the_experiment_sets(
+        monkeypatch,
+        lambda config: harness.experiment_loss_comparison(
+            ds, ds, (config.seed, 1), config=config))
+    assert frozen == {"freeze_final", "final_init"}
+    assert compare == {"seed", "loss", "use_reconstruction"}
+    _, subs = subcommand_parsers()
+    for name, overwritten in (("frozen-linearity", frozen),
+                              ("loss-compare", compare)):
+        assert not {a.dest for a in subs[name]._actions} & overwritten
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "0.5"],
+    ["train", "--mom", "0.5"],
+    ["train", "--data", "blobs", "--epoch", "1"],
+    ["loss-compare", *BLOB_ARGS, "--seeds", "0", "--seed", "7"],
+    ["loss-compare", *BLOB_ARGS, "--seeds", "0", "--loss", "softmax_ce"],
+    ["loss-compare", *BLOB_ARGS, "--seeds", "0", "--no-reconstruction"],
+    ["frozen-linearity", *BLOB_ARGS, "--seed", "0", "--freeze-final"],
+    ["frozen-linearity", *BLOB_ARGS, "--seed", "0",
+     "--final-init", "uniform_unit"],
+    ["export-pca", "--checkpoint", "c.bin", "--out", "x.csv", "--see", "1"],
+], ids=["train --lr", "train --mom", "train --epoch", "loss-compare --seed",
+        "loss-compare --loss", "loss-compare --no-reconstruction",
+        "frozen-linearity --freeze-final", "frozen-linearity --final-init",
+        "export-pca --see"])
+def test_unlisted_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_loss_compare_draws_the_data_with_the_first_seed():
+    rc, out, err = run_cli(
+        ["loss-compare", *BLOB_ARGS, "--seeds", "3,4", "--epochs", "2"])
+    assert rc == 0, err
+    _, train_ds, test_ds = cli.resolve_datasets("blobs", (0, 1, 2), 3)
+    config = harness.default_config(train_ds, seed=0)
+    result = harness.experiment_loss_comparison(
+        train_ds, test_ds, (3, 4),
+        config=replace(config, layer_dims=(32, 16, 3), epochs=2))
+    rows = [f"{c.loss:>24} {str(c.use_reconstruction):>6} "
+            f"{c.mean_accuracy:>9.4f} "
+            f"{weightsep.format_epsilon(c.mean_epsilon):>13}"
+            for c in result.cells]
+    rows.append("rank correlation (accuracy vs -separability): "
+                f"{result.rank_correlation:+.3f}")
+    assert out.splitlines()[1:] == rows
 
 
 def test_experiment_subcommands_demand_seeds(capsys):

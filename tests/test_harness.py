@@ -54,6 +54,15 @@ def test_config_validation():
         blob_config(epochs=0)
     with pytest.raises(ConfigError):
         blob_config(final_init="kaiming")
+    # the schedule's, the batch plan's and the SGD state's own checks
+    for bad in (dict(base_lr=0.0), dict(lr_factor=1.5), dict(milestones=(5, 3)),
+                dict(batch_size=0), dict(momentum=1.0), dict(weight_decay=-1.0)):
+        with pytest.raises(ConfigError):
+            blob_config(**bad)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            blob_config(seed=seed)
+    assert blob_config(seed=2**64 - 1).seed == 2**64 - 1
     for rate in (1.5, 0.0, -2.0, float("nan")):
         with pytest.raises(ConfigError, match="center_rate"):
             blob_config(center_rate=rate)
