@@ -67,14 +67,12 @@ from .losses import (
 )
 from .network import (
     ForwardTrace,
-    LayerSpec,
     Network,
     NetworkSpec,
     backward,
     decide_classes,
     forward,
     init_network,
-    mlp_spec,
 )
 from .optim import LrSchedule, SgdState, decay_mask, freeze_mask, lr_at, sgd_step
 from .separability import (

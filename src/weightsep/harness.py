@@ -25,14 +25,12 @@ from .errors import ConfigError, DataError, FormatError, NumericError
 from .linalg import pca_reduce
 from .network import (
     FINAL_INITS,
-    LayerSpec,
     Network,
     NetworkSpec,
     backward,
     decide_classes,
     forward,
     init_network,
-    mlp_spec,
 )
 from .rng import check_seed
 # The two single-form metrics are not called here; they stay importable
@@ -90,6 +88,11 @@ class TrainConfig:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        # The first and last widths are checked against the data in train().
+        if any(d < 1 for d in self.layer_dims[1:-1]):
+            raise ConfigError(
+                f"layer_dims: hidden widths must be positive, got {self.layer_dims}"
+            )
         check_seed(self.seed)
         if not 0.0 < self.center_rate <= 1.0:
             raise ConfigError(f"center_rate must be in (0, 1], got {self.center_rate}")
@@ -106,7 +109,7 @@ class TrainConfig:
         )
 
     def network_spec(self):
-        return mlp_spec(self.layer_dims)
+        return NetworkSpec(self.layer_dims)
 
 
 def default_config(ds, seed):
@@ -497,21 +500,29 @@ CHECKPOINT_MAGIC = b"WSCK"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(net, path):
-    """Serialize network spec and parameters; the trailing checksum lets
-    :func:`load_checkpoint` reject corrupt or truncated files."""
-    header = {
+def _header(spec):
+    """The JSON header of a checkpoint of ``spec``: each layer's widths and
+    activation (relu for all but the identity decision layer), then the name
+    and shape of each array in payload order."""
+    last = len(spec.dims) - 2
+    return {
         "version": CHECKPOINT_VERSION,
         "layers": [
-            {"in": l.in_dim, "out": l.out_dim, "activation": l.activation}
-            for l in net.spec.layers
+            {"in": n_in, "out": n_out,
+             "activation": "identity" if k == last else "relu"}
+            for k, (n_in, n_out) in enumerate(zip(spec.dims, spec.dims[1:]))
         ],
         "arrays": [
             {"name": name, "shape": list(shape)}
-            for name, shape, _ in net.spec.parameter_layout()
+            for name, shape, _ in spec.parameter_layout()
         ],
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+
+
+def save_checkpoint(net, path):
+    """Serialize network spec and parameters; the trailing checksum lets
+    :func:`load_checkpoint` reject corrupt or truncated files."""
+    header_bytes = json.dumps(_header(net.spec), sort_keys=True).encode()
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack(">II", CHECKPOINT_VERSION, len(header_bytes))
@@ -549,10 +560,10 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable checkpoint header: {e}") from e
 
-    spec, expected = _checkpoint_layout(header, path)
+    spec = _checkpoint_layout(header, path)
     offset = 12 + header_len
     params = []
-    for name, shape in expected:
+    for name, shape, _ in spec.parameter_layout():
         # Python-int product: int64 would wrap for a huge promised shape.
         end = offset + 8 * int(np.prod(shape, dtype=object))
         if end > len(blob) - 4:
@@ -567,44 +578,27 @@ def load_checkpoint(path):
     return Network(spec, params)
 
 
-def _is_dim(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _checkpoint_layout(header, path):
-    """The network spec a checkpoint header describes, and the (name, shape)
-    of each array it promises, in payload order. Anything else in place of
-    the header :func:`save_checkpoint` writes raises :class:`FormatError`."""
+    """The network spec a checkpoint header describes. Anything else in place
+    of the header :func:`save_checkpoint` writes for that spec raises
+    :class:`FormatError`."""
     def malformed(what):
         return FormatError(f"{path}: malformed checkpoint header: {what}")
 
     if not isinstance(header, dict):
         raise malformed(f"expected an object, got {type(header).__name__}")
-    layers, arrays = header.get("layers"), header.get("arrays")
-    if not isinstance(layers, list) or not isinstance(arrays, list):
-        raise malformed("'layers' and 'arrays' must both be lists")
-    for layer in layers:
-        if not (isinstance(layer, dict) and _is_dim(layer.get("in"))
-                and _is_dim(layer.get("out"))
-                and isinstance(layer.get("activation"), str)):
-            raise malformed(f"bad layer entry {layer!r}")
+    layers = header.get("layers")
     try:
-        spec = NetworkSpec(layers=tuple(
-            LayerSpec(l["in"], l["out"], l["activation"]) for l in layers
-        ))
-    except ConfigError as e:
-        raise malformed(str(e)) from e
-
-    expected = [
-        (name, list(shape)) for name, shape, _ in spec.parameter_layout()
-    ]
-    promised = [
-        (a.get("name"), a.get("shape")) if isinstance(a, dict) else a
-        for a in arrays
-    ]
-    if promised != expected:
-        raise malformed("array list does not match the layer stack")
-    return spec, expected
+        spec = NetworkSpec((layers[0]["in"], *(l["out"] for l in layers)))
+    except (ConfigError, IndexError, KeyError, TypeError) as e:
+        raise malformed(f"cannot read widths from 'layers': {e!r}") from e
+    # Compared as JSON text, so 8.0 or true does not pass for 8 or 1.
+    want = _header(spec)
+    for key in ("layers", "arrays"):
+        if (json.dumps(header.get(key), sort_keys=True)
+                != json.dumps(want[key], sort_keys=True)):
+            raise malformed(f"{key!r} does not match the widths {spec.dims}")
+    return spec
 
 
 def config_to_text(config):

@@ -1,9 +1,9 @@
 """Minimal dense feed-forward network with reverse-mode gradients.
 
-The final layer is always the identity-activated decision layer holding the
-weight matrix whose columns are the class kernels; it has no bias. Hidden
-layers are relu with bias. Networks are immutable: a training step builds a
-new parameter list rather than mutating in place.
+A network is its widths. Every layer but the last is relu with a bias; the
+last is the identity decision layer holding the weight matrix whose columns
+are the class kernels, and it has no bias. Networks are immutable: a
+training step builds a new parameter list rather than mutating in place.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .rng import STREAM_INIT, generator
 
-ACTIVATIONS = ("relu", "identity")
-
 # Final-layer initialization styles. "uniform_scaled" is the default
 # [-1/sqrt(in), 1/sqrt(in)] used by all hidden layers; "semi_orthogonal"
 # QR-orthonormalizes a uniform [-1, 1] draw; "uniform_unit" keeps the raw
@@ -22,73 +20,48 @@ ACTIVATIONS = ("relu", "identity")
 FINAL_INITS = ("uniform_scaled", "semi_orthogonal", "uniform_unit")
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigError(f"layer dims must be positive, got {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+def _is_width(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    layers: tuple
+    """Layer widths ``dims``, input first and class count last: layer k maps
+    ``dims[k]`` to ``dims[k + 1]``."""
+
+    dims: tuple
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("network needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ConfigError(
-                    f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
-                )
-        if self.layers[-1].activation != "identity":
-            raise ConfigError("final (decision) layer must be identity-activated")
+        dims = tuple(self.dims)
+        if len(dims) < 2 or not all(map(_is_width, dims)):
+            raise ConfigError(
+                f"network needs two or more positive integer widths, got {dims}"
+            )
+        object.__setattr__(self, "dims", dims)
 
     @property
     def input_dim(self):
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def latent_dim(self):
-        return self.layers[-1].in_dim
+        return self.dims[-2]
 
     @property
     def n_classes(self):
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
     def parameter_layout(self):
         """``(name, shape, is_weight)`` of each parameter in flat order,
         ``[W0, b0, W1, b1, ..., W_last]``: every layer's weight, then its bias
         unless it is the decision layer. The one statement of that order."""
-        last = len(self.layers) - 1
+        last = len(self.dims) - 2
         out = []
-        for k, layer in enumerate(self.layers):
-            shape = (layer.in_dim, layer.out_dim)
-            out.append((f"layer{k}.weight", shape, True))
+        for k, (n_in, n_out) in enumerate(zip(self.dims, self.dims[1:])):
+            out.append((f"layer{k}.weight", (n_in, n_out), True))
             if k < last:
-                out.append((f"layer{k}.bias", (layer.out_dim,), False))
+                out.append((f"layer{k}.bias", (n_out,), False))
         return out
-
-
-def mlp_spec(dims):
-    """Spec for a relu MLP: ``dims`` lists layer widths input-first.
-
-    All layers but the last are relu; the last is the identity decision layer.
-    """
-    dims = [int(d) for d in dims]
-    if len(dims) < 2:
-        raise ConfigError(f"need at least input and output widths, got {dims}")
-    layers = [
-        LayerSpec(a, b, "relu") for a, b in zip(dims[:-2], dims[1:-1])
-    ]
-    layers.append(LayerSpec(dims[-2], dims[-1], "identity"))
-    return NetworkSpec(layers=tuple(layers))
 
 
 class Network:
@@ -138,21 +111,18 @@ def init_network(spec, seed, final_init="uniform_scaled"):
     if final_init not in FINAL_INITS:
         raise ConfigError(f"unknown final_init {final_init!r}")
     weights = []
-    n_layers = len(spec.layers)
-    for k, layer in enumerate(spec.layers):
+    last = len(spec.dims) - 2
+    for k, (n_in, n_out) in enumerate(zip(spec.dims, spec.dims[1:])):
         rand = generator(seed, STREAM_INIT, k)
-        is_final = k == n_layers - 1
-        if is_final and final_init == "semi_orthogonal":
+        if k == last and final_init == "semi_orthogonal":
             from .linalg import qr_decompose
 
-            w = qr_decompose(
-                rand.uniform(-1.0, 1.0, size=(layer.in_dim, layer.out_dim))
-            ).q
-        elif is_final and final_init == "uniform_unit":
-            w = rand.uniform(-1.0, 1.0, size=(layer.in_dim, layer.out_dim))
+            w = qr_decompose(rand.uniform(-1.0, 1.0, size=(n_in, n_out))).q
+        elif k == last and final_init == "uniform_unit":
+            w = rand.uniform(-1.0, 1.0, size=(n_in, n_out))
         else:
-            bound = 1.0 / np.sqrt(layer.in_dim)
-            w = rand.uniform(-bound, bound, size=(layer.in_dim, layer.out_dim))
+            bound = 1.0 / np.sqrt(n_in)
+            w = rand.uniform(-bound, bound, size=(n_in, n_out))
         weights.append(w)
     it = iter(weights)
     return Network(spec, [
@@ -193,11 +163,10 @@ def forward(net, batch):
         )
     a = batch
     acts = []
-    for layer, w, b in zip(net.spec.layers, net.weights, net.biases):
+    for w, b in zip(net.weights, net.biases):
+        # relu falls exactly on the layers with a bias: all but the last.
         z = a @ w
-        if b is not None:
-            z = z + b
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = z if b is None else np.maximum(z + b, 0.0)
         acts.append(a)
     return ForwardTrace(inputs=batch, activations=tuple(acts))
 
@@ -239,15 +208,15 @@ def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     # delta is dLoss/d(output of layer k). Nothing reads dLoss/d(batch), so
     # delta never passes back through W0, and a net with no hidden layer
     # forms none.
-    n_hidden = len(net.spec.layers) - 1
+    n_hidden = len(net.spec.dims) - 2
     if n_hidden:
         delta = logit_grad @ net.weights[-1].T
         if latent_grad is not None:
             delta = delta + latent_grad
     for k in range(n_hidden - 1, -1, -1):
-        if net.spec.layers[k].activation == "relu":
-            # relu(z) > 0 exactly where z > 0, so the activation masks alike.
-            delta = delta * (trace.activations[k] > 0.0)
+        # Every hidden layer is relu, and relu(z) > 0 exactly where z > 0,
+        # so the activation masks alike.
+        delta = delta * (trace.activations[k] > 0.0)
         below = batch if k == 0 else trace.activations[k - 1]
         grads.append(delta.sum(axis=0))
         grads.append(below.T @ delta)

@@ -1,0 +1,44 @@
+"""Callers outside the package: the demo scripts and the benchmark's tracer.
+
+Each reaches the package through names that a refactor can remove; these
+tests fail in the suite rather than in a demo run or a benchmark run.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import SINGLE_THREAD_ENV
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_traced_binding_exists():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [b for targets in tracing.TARGETS.values() for b in targets]
+    assert bindings
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr in bindings if attr not in vars(owner)]
+    assert not missing
+
+
+# digits_trend is left out: it trains the 30-epoch recipe (about 5 s).
+@pytest.mark.parametrize("demo", ["separability_basics",
+                                  "reconstruction_loss_tour", "train_blobs",
+                                  "frozen_decision_layer"])
+def test_demo_runs(tmp_path, demo):
+    env = dict(os.environ, **SINGLE_THREAD_ENV)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("WEIGHTSEP_DATA_DIR", None)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -207,6 +207,29 @@ def test_bad_config_value_exits_2_before_loading_data(
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("by", ["file", "flag"])
+@pytest.mark.parametrize("dims", [(784, 0, 10), (784, -3, 10)],
+                         ids=["784,0,10", "784,-3,10"])
+def test_bad_hidden_width_exits_2_before_loading_data(tmp_path, monkeypatch,
+                                                      by, dims):
+    fail_on_data_load(monkeypatch)
+    argv = ["train", "--data", "digits"]
+    if by == "file":
+        base = weightsep.TrainConfig(layer_dims=(784, 64, 10), epochs=1, seed=0)
+        config = tmp_path / "config.txt"
+        config.write_text(config_with(weightsep.config_to_text(base),
+                                      "layer_dims", str(list(dims))))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--layer-dims=" + ",".join(map(str, dims))]
+    run_dir = tmp_path / "r"
+    rc, _, err = run_cli(argv + ["--out", str(run_dir)])
+    assert rc == 2, err
+    assert err.startswith("error:config: layer_dims: hidden widths must be "
+                          "positive"), err
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
 @pytest.mark.parametrize("argv", [
     ["similarity", "--data", "blobs", "--seed", "{seed}", "absent.bin"],

@@ -54,6 +54,9 @@ def test_config_validation():
         blob_config(epochs=0)
     with pytest.raises(ConfigError):
         blob_config(final_init="kaiming")
+    for dims in ((8, 0, 3), (8, 16, -1, 3)):
+        with pytest.raises(ConfigError, match="hidden widths must be positive"):
+            blob_config(layer_dims=dims)
     # the schedule's, the batch plan's and the SGD state's own checks
     for bad in (dict(base_lr=0.0), dict(lr_factor=1.5), dict(milestones=(5, 3)),
                 dict(batch_size=0), dict(momentum=1.0), dict(weight_decay=-1.0)):
@@ -368,7 +371,7 @@ def test_checkpoint_bad_magic(tmp_path, blob_run):
 
 def _small_checkpoint(tmp_path):
     path = tmp_path / "small.bin"
-    save_checkpoint(ws.init_network(ws.mlp_spec((2, 3, 2)), 0), path)
+    save_checkpoint(ws.init_network(ws.NetworkSpec((2, 3, 2)), 0), path)
     return path.read_bytes()
 
 
@@ -423,6 +426,32 @@ def _string_width(header):
     return header
 
 
+def _hidden_identity(header):
+    # The one case that loaded while each layer named its activation.
+    header["layers"][0]["activation"] = "identity"
+    return header
+
+
+def _relu_decision_layer(header):
+    header["layers"][-1]["activation"] = "relu"
+    return header
+
+
+def _bool_width(header):
+    header["layers"][0]["in"] = True
+    return header
+
+
+def _broken_chain(header):
+    header["layers"][1]["in"] += 1
+    return header
+
+
+def _no_layer_entries(header):
+    header["layers"] = []
+    return header
+
+
 def _drop_bias_entry(header):
     del header["arrays"][1]
     return header
@@ -446,11 +475,17 @@ def _huge_shape(header):
     lambda header: None,
     _relabel_activation,
     _string_width,
+    _hidden_identity,
+    _relu_decision_layer,
+    _bool_width,
+    _broken_chain,
+    _no_layer_entries,
     _drop_bias_entry,
     _wrong_shape,
     _huge_shape,
 ], ids=["no-layers", "list", "null", "bad-activation", "string-width",
-        "missing-bias", "wrong-shape", "huge-shape"])
+        "hidden-identity", "relu-decision", "bool-width", "broken-chain",
+        "empty-layers", "missing-bias", "wrong-shape", "huge-shape"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, blob_run, mutate):
     path = tmp_path / "model.bin"
     save_checkpoint(blob_run.network, path)
@@ -484,7 +519,7 @@ def test_checkpoint_frozen_run_preserves_init(tmp_path, blobs_small):
 def test_similarity_trivial_cases():
     w = np.array([[3.0, 0.0], [0.0, 4.0]])
     feats = np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 8.0]]) / 8.0
-    net = ws.init_network(ws.mlp_spec((2, 2)), 0)
+    net = ws.init_network(ws.NetworkSpec((2, 2)), 0)
     net = net.replace_parameters([w])
     ds = ws.Dataset(feats, np.array([0, 1, 1]), 2, {0: 0, 1: 1})
     rows = similarity_report(net, ds)
@@ -497,7 +532,7 @@ def test_similarity_trivial_cases():
 
 def test_similarity_exact_match_is_zero():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    net = ws.init_network(ws.mlp_spec((2, 2)), 0).replace_parameters([w])
+    net = ws.init_network(ws.NetworkSpec((2, 2)), 0).replace_parameters([w])
     ds = ws.Dataset(w.copy(), np.array([0, 1]), 2, {0: 0, 1: 1})
     rows = similarity_report(net, ds)
     for r in rows:
@@ -506,7 +541,7 @@ def test_similarity_exact_match_is_zero():
 
 
 def test_similarity_empty_class_rejected():
-    net = ws.init_network(ws.mlp_spec((2, 2)), 0)
+    net = ws.init_network(ws.NetworkSpec((2, 2)), 0)
     ds = ws.Dataset(np.zeros((2, 2)), np.array([0, 0]), 2, {0: 0, 1: 1})
     with pytest.raises(ws.DataError):
         similarity_report(net, ds)

@@ -7,7 +7,6 @@ import pytest
 import weightsep as ws
 from weightsep import (
     ConfigError,
-    LayerSpec,
     Network,
     NetworkSpec,
     ShapeError,
@@ -15,46 +14,33 @@ from weightsep import (
     decide_classes,
     forward,
     init_network,
-    mlp_spec,
 )
 
 
-def tiny_net(dims, seed=0, activation="relu"):
-    layers = [
-        LayerSpec(dims[i], dims[i + 1], activation)
-        for i in range(len(dims) - 2)
-    ]
-    layers.append(LayerSpec(dims[-2], dims[-1], "identity"))
-    return init_network(NetworkSpec(tuple(layers)), seed)
+def tiny_net(dims, seed=0):
+    return init_network(NetworkSpec(dims), seed)
 
 
 # --- specs ------------------------------------------------------------
 
 
-def test_mlp_spec_shapes():
-    spec = mlp_spec((784, 64, 10))
+def test_spec_shapes():
+    spec = NetworkSpec((784, 64, 10))
+    assert spec.dims == (784, 64, 10)
     assert spec.input_dim == 784
     assert spec.latent_dim == 64
     assert spec.n_classes == 10
-    assert spec.layers[-1].activation == "identity"
-    assert all(l.activation == "relu" for l in spec.layers[:-1])
+    spec = NetworkSpec([3, 2])  # no hidden layer: the input is the latent
+    assert spec.dims == (3, 2)
+    assert spec.input_dim == spec.latent_dim == 3
 
 
-def test_spec_rejects_broken_chain():
-    with pytest.raises(ConfigError):
-        NetworkSpec((LayerSpec(4, 5, "relu"), LayerSpec(6, 3, "identity")))
-
-
-def test_spec_rejects_nonidentity_final():
-    with pytest.raises(ConfigError):
-        NetworkSpec((LayerSpec(4, 3, "relu"),))
-
-
-def test_layer_spec_rejects_bad_dims_and_activation():
-    with pytest.raises(ConfigError):
-        LayerSpec(0, 3, "relu")
-    with pytest.raises(ConfigError):
-        LayerSpec(2, 3, "tanh")
+def test_spec_rejects_bad_widths():
+    for dims in [(), (5,), (0, 3), (4, -1, 3), (4, 0, 3), (True, 3),
+                 (4, True, 3), (4.0, 3), (4, 5.5, 3), ("4", 3), (4, None, 3),
+                 (np.int64(4), 3)]:
+        with pytest.raises(ConfigError, match="positive integer widths"):
+            NetworkSpec(dims)
 
 
 def test_init_ranges_and_bias():
@@ -75,7 +61,7 @@ def test_init_deterministic_per_seed():
 
 
 def test_semi_orthogonal_final_option():
-    spec = mlp_spec((8, 6, 4))
+    spec = NetworkSpec((8, 6, 4))
     net = init_network(spec, 3, final_init="semi_orthogonal")
     assert ws.separability_metric(net.final_weight) < 1e-12
 
@@ -84,7 +70,7 @@ def test_semi_orthogonal_final_option():
 
 
 def test_identity_single_layer_passes_through():
-    spec = NetworkSpec((LayerSpec(3, 3, "identity"),))
+    spec = NetworkSpec((3, 3))
     net = Network(spec, [np.eye(3)])
     x = np.arange(6, dtype=float).reshape(2, 3)
     tr = forward(net, x)
@@ -94,7 +80,7 @@ def test_identity_single_layer_passes_through():
 
 
 def test_relu_zeroes_negative_preactivations():
-    spec = NetworkSpec((LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "identity")))
+    spec = NetworkSpec((2, 2, 2))
     net = Network(spec, [np.eye(2), np.zeros(2), np.eye(2)])
     tr = forward(net, np.array([[-1.0, -2.0]]))
     assert np.array_equal(tr.latent, np.zeros((1, 2)))
@@ -168,7 +154,7 @@ def test_zero_seeds_give_zero_gradients():
 
 def test_single_linear_layer_gradient():
     # loss = sum(logits) => dL/dW = sum_b x_b^T 1
-    spec = NetworkSpec((LayerSpec(3, 2, "identity"),))
+    spec = NetworkSpec((3, 2))
     net = Network(spec, [np.random.default_rng(17).normal(size=(3, 2))])
     batch = np.random.default_rng(18).normal(size=(4, 3))
     tr = forward(net, batch)
@@ -274,9 +260,8 @@ def full_chain_backward(net, trace, logit_grad, latent_grad=None,
     delta = logit_grad @ net.weights[-1].T
     if latent_grad is not None:
         delta = delta + latent_grad
-    for k in range(len(net.spec.layers) - 2, -1, -1):
-        if net.spec.layers[k].activation == "relu":
-            delta = delta * (trace.activations[k] > 0.0)
+    for k in range(len(net.spec.dims) - 3, -1, -1):
+        delta = delta * (trace.activations[k] > 0.0)
         below = trace.inputs if k == 0 else trace.activations[k - 1]
         grads.append(delta.sum(axis=0))
         grads.append(below.T @ delta)
@@ -381,7 +366,7 @@ def test_replace_parameters_validates_shapes():
                     "layer1.bias", "layer2.weight"]),
 ], ids=["1-layer", "2-layer", "3-layer"])
 def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
-    spec = mlp_spec(dims)
+    spec = NetworkSpec(dims)
     layout = spec.parameter_layout()
     assert [name for name, _, _ in layout] == names
     shapes = [shape for _, shape, _ in layout]

@@ -3,7 +3,6 @@ import pytest
 
 from weightsep import (
     ConfigError,
-    LayerSpec,
     LrSchedule,
     NetworkSpec,
     NumericError,
@@ -142,10 +141,7 @@ def test_sgd_shape_mismatch():
 
 
 def small_net():
-    spec = NetworkSpec(
-        (LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "identity"))
-    )
-    return init_network(spec, 1)
+    return init_network(NetworkSpec((4, 6, 3)), 1)
 
 
 def test_freeze_mask_shapes():
