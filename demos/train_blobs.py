@@ -20,8 +20,7 @@ def split(ds, test_per_class):
         test[np.flatnonzero(ds.labels == c)[-test_per_class:]] = True
 
     def take(mask):
-        return ws.Dataset(ds.features[mask], ds.labels[mask], ds.n_classes,
-                          dict(ds.class_map))
+        return ws.Dataset(ds.features[mask], ds.labels[mask], ds.n_classes)
 
     return take(~test), take(test)
 

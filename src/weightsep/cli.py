@@ -104,7 +104,6 @@ def _slice_dataset(ds, index):
         features=ds.features[index],
         labels=ds.labels[index],
         n_classes=ds.n_classes,
-        class_map=dict(ds.class_map),
     )
 
 
@@ -151,23 +150,17 @@ def read_config(path):
 
 def build_config(args, implicit_classes=()):
     """(config, train, test) for a run. Flags override the --config file,
-    which overrides the defaults; each flag's dest is its TrainConfig field,
-    and its value gets the field's config-file check. Every value is checked
-    before the data load. The data come from --data, else the file's
-    data_source, else $WEIGHTSEP_DATA_DIR, else 'digits', drawn with the
-    run's seed. ``implicit_classes`` is the subset kept when no classes are
-    named and the data hold every class in it."""
+    which overrides the defaults; each flag's dest is its TrainConfig field.
+    TrainConfig checks every value before the data load. The data come from
+    --data, else the file's data_source, else $WEIGHTSEP_DATA_DIR, else
+    'digits', drawn with the run's seed. ``implicit_classes`` is the subset
+    kept when no classes are named and the data hold every class in it."""
     values = {}
     for f in fields(harness.TrainConfig):
         value = getattr(args, f.name, None)
         if value is None:
             continue
-        if f.type is tuple:
-            value = list(_parse_int_list(value))
-        what, fits = harness._FIELD_CHECKS[f.type]
-        if not fits(value):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-        values[f.name] = tuple(value) if f.type is tuple else value
+        values[f.name] = _parse_int_list(value) if f.type is tuple else value
     file_config = read_config(args.config) if args.config else None
     merged = {**(asdict(file_config) if file_config else {}), **values}
     # Checks every value now; the three fields with no default get stand-ins.

@@ -1,8 +1,7 @@
 """Datasets: IDX container I/O, class filtering, synthetic fixtures, batching.
 
 Features are always row-per-sample float64 in [0, 1]; labels are contiguous
-integers below ``n_classes``. ``class_map`` remembers how original label
-values map onto the contiguous ones (identity until a filter remaps them).
+integers below ``n_classes``.
 
 Two synthetic generators cover offline work: isotropic Gaussian blobs for
 fast property tests, and a rendered-digit set (28 x 28 glyphs with placement
@@ -29,7 +28,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    class_map: dict
 
     def __post_init__(self):
         f = self.features
@@ -49,8 +47,6 @@ class Dataset:
                 f"labels must lie in [0, {self.n_classes}), got "
                 f"[{l.min()}, {l.max()}]"
             )
-        if len(set(self.class_map.values())) != len(self.class_map):
-            raise DataError("class_map must be injective")
 
     def __len__(self):
         return self.features.shape[0]
@@ -130,7 +126,6 @@ def read_idx(images_path, labels_path):
         features=features,
         labels=labels,
         n_classes=n_classes,
-        class_map={c: c for c in range(n_classes)},
     )
 
 
@@ -162,7 +157,7 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
 
 def filter_classes(ds, keep):
     """Keep only samples of the listed classes, relabelled 0..k-1 in the
-    order given; ``class_map`` then records original -> contiguous."""
+    order given."""
     keep = [int(c) for c in keep]
     if not keep:
         raise DataError("keep list must be non-empty")
@@ -176,16 +171,10 @@ def filter_classes(ds, keep):
     new_index = {c: i for i, c in enumerate(keep)}
     mask = np.isin(ds.labels, keep)
     relabelled = np.array([new_index[c] for c in ds.labels[mask]], dtype=np.int64)
-    class_map = {
-        orig: new_index[cur]
-        for orig, cur in ds.class_map.items()
-        if cur in new_index
-    }
     return Dataset(
         features=ds.features[mask],
         labels=relabelled,
         n_classes=len(keep),
-        class_map=class_map,
     )
 
 
@@ -207,7 +196,6 @@ def synth_blobs(n_classes, per_class, dim, spread, seed):
         features=features,
         labels=labels,
         n_classes=n_classes,
-        class_map={c: c for c in range(n_classes)},
     )
 
 
@@ -281,7 +269,6 @@ def synth_digits(per_class, seed):
         features=features,
         labels=labels,
         n_classes=10,
-        class_map={c: c for c in range(10)},
     )
 
 

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,23 @@ LOSS_KINDS = ("softmax_ce", "softmax_ce_plus_center")
 EPSILON_FORM_TOL = 1e-9
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a value must be for each TrainConfig field type, and a test for it.
+# bool subclasses int, so the integer test excludes it.
+_FIELD_CHECKS = {
+    tuple: ("a list of integers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+    int: ("an integer", _is_int),
+    float: ("a finite number",
+            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything needed to replay a run.
@@ -77,9 +94,13 @@ class TrainConfig:
     class_filter: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
-        object.__setattr__(self, "class_filter", tuple(int(c) for c in self.class_filter))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, fits = _FIELD_CHECKS[f.type]
+            if not fits(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if f.type is tuple:
+                object.__setattr__(self, f.name, tuple(value))
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}; pick from {LOSS_KINDS}")
         if self.final_init not in FINAL_INITS:
@@ -612,28 +633,10 @@ def config_to_text(config):
     return "\n".join(lines) + "\n"
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# What a parsed JSON value must be for each TrainConfig field type, and
-# a test for it. bool subclasses int, so the integer test excludes it.
-_FIELD_CHECKS = {
-    tuple: ("a list of integers",
-            lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    int: ("an integer", _is_int),
-    float: ("a finite number",
-            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-
 def config_from_text(text):
     """Parse :func:`config_to_text` output (or a hand-written file in the
     same shape) back into a :class:`TrainConfig`. A value whose JSON type
     does not fit its field is a :class:`ConfigError`."""
-    fields = {name: f.type for name, f in TrainConfig.__dataclass_fields__.items()}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -643,18 +646,15 @@ def config_from_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value': {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in TrainConfig.__dataclass_fields__:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         try:
             value = json.loads(rhs.strip())
         except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-        what, fits = _FIELD_CHECKS[fields[key]]
-        if not fits(value):
-            raise ConfigError(
-                f"line {lineno}: {key} must be {what}, got {rhs.strip()}"
-            )
-        values[key] = tuple(value) if isinstance(value, list) else value
+        values[key] = value
     try:
         return TrainConfig(**values)
     except TypeError as e:

@@ -22,7 +22,9 @@ class LrSchedule:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not 0 < self.factor < 1:
             raise ConfigError(f"factor must be in (0,1), got {self.factor}")
-        ms = tuple(int(m) for m in self.milestones)
+        ms = tuple(self.milestones)
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in ms):
+            raise ConfigError(f"milestones must be integers, got {ms}")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing: {ms}")
         object.__setattr__(self, "milestones", ms)

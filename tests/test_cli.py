@@ -660,7 +660,7 @@ def author_digit_dir(root):
             rng.normal(labels[:, None] / 3.0 + 0.3, 0.05, size=(len(labels), 4)),
             0.0, 1.0,
         )
-        ds = Dataset(feats, labels, 3, {c: c for c in range(3)})
+        ds = Dataset(feats, labels, 3)
         write_idx(ds, root / img_name, root / lbl_name, image_shape=(2, 2))
 
     pair(20, "train-images-idx3-ubyte", "train-labels-idx1-ubyte")

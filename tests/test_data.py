@@ -49,7 +49,6 @@ def test_hand_authored_pair_decodes_exactly(tmp_path):
     assert np.array_equal(ds.features, expect)
     assert ds.features[1, 1] == 1.0  # byte 255 maps to exactly 1.0
     assert ds.n_classes == 4
-    assert ds.class_map == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_wrong_magic_reports_expected_and_found(tmp_path):
@@ -182,11 +181,9 @@ def test_idx_round_trip(tmp_path):
 def test_dataset_validation():
     feats = np.zeros((3, 2))
     with pytest.raises(DataError):
-        Dataset(feats, np.array([0, 1, 3]), 3, {0: 0, 1: 1, 2: 2})
+        Dataset(feats, np.array([0, 1, 3]), 3)
     with pytest.raises(DataError):
-        Dataset(feats + 2.0, np.array([0, 1, 2]), 3, {0: 0, 1: 1, 2: 2})
-    with pytest.raises(DataError):
-        Dataset(feats, np.array([0, 1, 2]), 3, {0: 0, 1: 0, 2: 2})
+        Dataset(feats + 2.0, np.array([0, 1, 2]), 3)
 
 
 # --- filtering --------------------------------------------------------
@@ -197,7 +194,6 @@ def test_filter_keep_all_is_identity():
     out = filter_classes(ds, (0, 1, 2))
     assert np.array_equal(out.features, ds.features)
     assert np.array_equal(out.labels, ds.labels)
-    assert out.class_map == {0: 0, 1: 1, 2: 2}
 
 
 def test_filter_remaps_in_keep_order():
@@ -206,7 +202,8 @@ def test_filter_remaps_in_keep_order():
     assert out.n_classes == 3
     assert len(out) == 12
     assert set(np.unique(out.labels)) == {0, 1, 2}
-    assert out.class_map == {0: 0, 1: 1, 5: 2}
+    new = {0: 0, 1: 1, 5: 2}
+    assert out.labels.tolist() == [new[c] for c in ds.labels.tolist() if c in new]
     # features preserved bit-exactly for the kept samples
     kept = np.isin(ds.labels, (0, 1, 5))
     assert np.array_equal(out.features, ds.features[kept])

@@ -1,5 +1,7 @@
+import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -107,6 +109,14 @@ def test_config_text_rejects_unknown_key():
     assert "mystery" in str(err.value)
 
 
+def test_config_text_rejects_duplicate_key():
+    text = config_to_text(blob_config()) + "epochs = 5\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError,
+                       match=rf"^line {lineno}: duplicate config key 'epochs'$"):
+        config_from_text(text)
+
+
 def test_config_text_rejects_bad_value():
     text = config_to_text(blob_config()).replace(
         "epochs = 30", "epochs = banana"
@@ -117,23 +127,42 @@ def test_config_text_rejects_bad_value():
 
 @pytest.mark.parametrize("key", list(TrainConfig.__dataclass_fields__))
 def test_every_field_value_parses_or_is_a_config_error(key):
-    text = config_to_text(blob_config(loss="softmax_ce_plus_center",
-                                      use_reconstruction=True))
+    base = blob_config(loss="softmax_ce_plus_center", use_reconstruction=True)
+    text = config_to_text(base)
     kinds = {"null": type(None), "true": bool, "1": int, "1.5": float,
              '"x"': str, "[]": list, "[1]": list, "{}": dict}
     field_type = TrainConfig.__dataclass_fields__[key].type
     for value in JSON_PROBES:
+        # The library call and the file line get the same verdict.
+        try:
+            library = TrainConfig(**{**asdict(base), key: json.loads(value)})
+        except ConfigError:
+            library = None
         try:
             cfg = config_from_text(config_with(text, key, value))
         except ConfigError:
+            assert library is None, (key, value)
             continue
-        assert isinstance(cfg, TrainConfig)
+        assert cfg == library
         # Only a value of the field's own type gets through, an int in
         # place of a float included; a bool never counts as a number.
         kind = kinds[value]
         assert (kind is field_type or (kind, field_type) in
                 ((list, tuple), (int, float)))
         assert config_from_text(config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5),
+    ("use_reconstruction", "no"), ("layer_dims", (32, 8.7, 3)),
+    ("lam", float("nan")), ("base_lr", float("nan")),
+    ("weight_decay", float("nan")), ("class_filter", (0, True)),
+    ("data_source", 3), ("layer_dims", (np.int64(8), 4, 3)),
+], ids=lambda v: v if isinstance(v, str) else repr(v).replace(" ", ""))
+def test_library_config_rejects_a_wrong_typed_value(key, value):
+    # Rejected by TrainConfig itself, so before train() sees any data.
+    with pytest.raises(ConfigError, match=rf"^{key} must be "):
+        blob_config(**{key: value})
 
 
 def test_config_rejects_a_value_nested_too_deep():
@@ -521,7 +550,7 @@ def test_similarity_trivial_cases():
     feats = np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 8.0]]) / 8.0
     net = ws.init_network(ws.NetworkSpec((2, 2)), 0)
     net = net.replace_parameters([w])
-    ds = ws.Dataset(feats, np.array([0, 1, 1]), 2, {0: 0, 1: 1})
+    ds = ws.Dataset(feats, np.array([0, 1, 1]), 2)
     rows = similarity_report(net, ds)
     # class 0 mean latent = (0.375, 0) is collinear with column (3, 0)
     assert rows[0].cosine_distance < 1e-12
@@ -533,7 +562,7 @@ def test_similarity_trivial_cases():
 def test_similarity_exact_match_is_zero():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     net = ws.init_network(ws.NetworkSpec((2, 2)), 0).replace_parameters([w])
-    ds = ws.Dataset(w.copy(), np.array([0, 1]), 2, {0: 0, 1: 1})
+    ds = ws.Dataset(w.copy(), np.array([0, 1]), 2)
     rows = similarity_report(net, ds)
     for r in rows:
         assert r.euclidean == 0.0
@@ -542,7 +571,7 @@ def test_similarity_exact_match_is_zero():
 
 def test_similarity_empty_class_rejected():
     net = ws.init_network(ws.NetworkSpec((2, 2)), 0)
-    ds = ws.Dataset(np.zeros((2, 2)), np.array([0, 0]), 2, {0: 0, 1: 1})
+    ds = ws.Dataset(np.zeros((2, 2)), np.array([0, 0]), 2)
     with pytest.raises(ws.DataError):
         similarity_report(net, ds)
 

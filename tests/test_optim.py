@@ -50,6 +50,10 @@ def test_schedule_validation():
         LrSchedule(base_lr=0.1, milestones=(5, 5), factor=0.1)
     with pytest.raises(ConfigError):
         LrSchedule(base_lr=0.1, milestones=(), factor=1.0)
+    # a milestone is an integer epoch: neither truncated nor read from a bool
+    for milestones in ((2.9,), (True, 3)):
+        with pytest.raises(ConfigError, match="milestones must be integers"):
+            LrSchedule(base_lr=0.1, milestones=milestones, factor=0.1)
 
 
 # --- sgd --------------------------------------------------------------
