@@ -157,7 +157,12 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
 
 def filter_classes(ds, keep):
     """Keep only samples of the listed classes, relabelled 0..k-1 in the
-    order given."""
+    order given. ``keep`` lists Python or numpy integers; a bool or any
+    other entry raises :class:`DataError`."""
+    keep = list(keep)
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
+           for c in keep):
+        raise DataError(f"classes to keep must be integers, got {keep}")
     keep = [int(c) for c in keep]
     if not keep:
         raise DataError("keep list must be non-empty")
@@ -168,12 +173,12 @@ def filter_classes(ds, keep):
     if unknown:
         raise DataError(f"classes not present in dataset: {unknown}")
 
-    new_index = {c: i for i, c in enumerate(keep)}
+    new_label = np.zeros(ds.n_classes, dtype=np.int64)
+    new_label[keep] = np.arange(len(keep))
     mask = np.isin(ds.labels, keep)
-    relabelled = np.array([new_index[c] for c in ds.labels[mask]], dtype=np.int64)
     return Dataset(
         features=ds.features[mask],
-        labels=relabelled,
+        labels=new_label[ds.labels[mask]],
         n_classes=len(keep),
     )
 

@@ -157,11 +157,13 @@ def reconstruction_loss(latent, labels, w):
     if onehot.shape[0] != b:
         raise ShapeError(f"{onehot.shape[0]} labels for {b} latent rows")
 
-    recon = onehot @ w.T
+    # onehot @ w.T repeats w.T's class rows, so their log-softmax is taken
+    # once, on a C-contiguous copy: the strided view sums in another order.
+    table = log_softmax(np.ascontiguousarray(w.T), axis=1)
     logp = log_softmax(latent, axis=1)
-    logq = log_softmax(recon, axis=1)
+    logq = table[labels]
     p = np.exp(logp)
-    q = np.exp(logq)
+    q = np.exp(table)[labels]
 
     log_ratio = logp - logq
     kl = (p * log_ratio).sum(axis=1)

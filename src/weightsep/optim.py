@@ -95,9 +95,17 @@ def sgd_step(params, grads, state, lr, update_mask=None, decay_mask=None):
             new_params.append(p)
             new_velocity.append(v)
             continue
-        g_eff = g + state.weight_decay * p if decayed else g
-        v_new = state.momentum * v + g_eff
-        new_params.append(p - lr * v_new)
+        # The rule above on two fresh arrays, in the same operation order.
+        v_new = state.momentum * v
+        if decayed:
+            t = state.weight_decay * p
+            t += g
+            v_new += t
+            np.multiply(lr, v_new, out=t)
+        else:
+            v_new += g
+            t = lr * v_new
+        new_params.append(np.subtract(p, t, out=t))
         new_velocity.append(v_new)
     return new_params, SgdState(
         velocity=tuple(new_velocity),

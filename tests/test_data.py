@@ -222,6 +222,25 @@ def test_filter_unknown_class():
         filter_classes(ds, (0, 9))
 
 
+def test_filter_rejects_non_integer_classes():
+    ds = synth_blobs(3, 5, 4, 0.1, seed=1)
+    for keep in ((0, 1.7), (True, 2), (0, np.bool_(True)), (0, "1"),
+                 (np.float64(1.0),)):
+        with pytest.raises(DataError, match="must be integers"):
+            filter_classes(ds, keep)
+
+
+def test_filter_takes_numpy_integers_and_labels_int64():
+    ds = synth_digits(per_class=4, seed=2)
+    want = filter_classes(ds, (0, 1, 5))
+    for keep in ((np.int64(0), np.uint8(1), np.int32(5)), np.array([0, 1, 5]),
+                 iter([0, 1, 5])):
+        out = filter_classes(ds, keep)
+        assert out.labels.dtype == np.int64
+        assert np.array_equal(out.labels, want.labels)
+        assert np.array_equal(out.features, want.features)
+
+
 # --- synthetic data ---------------------------------------------------
 
 

@@ -8,13 +8,16 @@ arithmetic, even in the last bit of one loss value, changes a hash.
 
 OpenBLAS splits the larger matrix products of the digits recipe across
 threads, and the split changes their rounding, so the runs happen in a child
-process with BLAS pinned to one thread. The hashes were recorded that way
-with the BLAS build named in ``RECORDED_BLAS``; another build, or another
-CPU architecture, may round differently and need its own values. A failing
-case names the build it ran with, so such a difference reads as one.
+process with BLAS pinned to one thread. The benchmark runs at two threads,
+so the digits case is also checked there, in a second child; it is skipped
+where BLAS does not run two threads. The hashes were recorded with the BLAS
+build named in ``RECORDED_BLAS``; another build, or another CPU
+architecture, may round differently and need its own values. A failing case
+names the build it ran with, so such a difference reads as one.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -59,6 +62,20 @@ DIGITS_SHA256 = (
     "45cba49d54a9eb275f5d3e562f836cdce012b8f1aaf979f01d6c627f98a97207",
 )
 
+# The digits case at two BLAS threads. OpenBLAS splits the recipe's larger
+# products there, so the checkpoint differs from the one-thread bytes while
+# metrics.csv does not. Recorded before the reconstruction loss gathered its
+# class rows and before sgd_step updated in place.
+DIGITS_TWO_THREADS_SHA256 = (
+    "e7710a7037e9fbeb68f9fd34229407f932e5167d4fd5d8bad508ec85191e705d",
+    "c55f8b8a82c52eca7a51a0c0eaad09eef668409bdc1c0df1be7b4df56a6a0c17",
+)
+
+TWO_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+                  "MKL_NUM_THREADS": "2"}
+
+ROOT = Path(__file__).resolve().parents[1]
+
 # The build the hashes above were recorded with, as blas_build() reports it.
 RECORDED_BLAS = {"name": "scipy-openblas", "version": "0.3.31.188.0",
                  "machine": "x86_64"}
@@ -76,6 +93,16 @@ def blas_build():
             "machine": platform.machine()}
 
 
+def blas_threads():
+    """Threads the loaded OpenBLAS runs, read through ctypes by the
+    benchmark's environment probe; None where it cannot tell."""
+    path = ROOT / "perfbench" / "environment.py"
+    spec = importlib.util.spec_from_file_location("perfbench_environment", path)
+    environment = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(environment)
+    return environment.blas_threads()
+
+
 def run_hashes(artifact):
     """(sha256 of metrics.csv, sha256 of checkpoint.bin) for a run."""
     with tempfile.TemporaryDirectory() as d:
@@ -85,9 +112,13 @@ def run_hashes(artifact):
                 sha256_of(ckpt.read_bytes())]
 
 
-def golden_runs():
-    """Train every case; step counts and hashes keyed by case name, and
-    the BLAS build under ``"blas"``."""
+CASES = ("blobs", "blobs_ce", "blobs_deep", "digits")
+
+
+def golden_runs(names=CASES):
+    """Train the named cases; step counts and hashes keyed by case name,
+    the BLAS build under ``"blas"`` and its thread count under
+    ``"blas_threads"``."""
     from conftest import trend_config
 
     blobs = ws.synth_blobs(n_classes=10, per_class=40, dim=32, spread=0.08,
@@ -103,35 +134,42 @@ def golden_runs():
     blobs_ce_cfg = ws.TrainConfig(layer_dims=(32, 64, 10), epochs=3, seed=5,
                                   batch_size=32)
     blobs_deep_cfg = replace(blobs_cfg, layer_dims=(32, 24, 16, 10))
-    digits_train = ws.synth_digits(per_class=512, seed=11)
-    digits_test = ws.synth_digits(per_class=100, seed=1_000_014)
+    runs = {
+        "blobs": lambda: ws.train(blobs_cfg, blobs),
+        "blobs_ce": lambda: ws.train(blobs_ce_cfg, blobs),
+        "blobs_deep": lambda: ws.train(blobs_deep_cfg, blobs),
+        "digits": lambda: ws.train(
+            trend_config(1, epochs=2), ws.synth_digits(per_class=512, seed=11),
+            eval_ds=ws.synth_digits(per_class=100, seed=1_000_014)),
+    }
     out = {}
-    for name, art in (
-        ("blobs", ws.train(blobs_cfg, blobs)),
-        ("blobs_ce", ws.train(blobs_ce_cfg, blobs)),
-        ("blobs_deep", ws.train(blobs_deep_cfg, blobs)),
-        ("digits", ws.train(trend_config(1, epochs=2), digits_train,
-                            eval_ds=digits_test)),
-    ):
+    for name in names:
+        art = runs[name]()
         out[name] = {"steps": len(art.records), "sha256": run_hashes(art)}
     out["blas"] = blas_build()
+    out["blas_threads"] = blas_threads()
     return out
 
 
-@pytest.fixture(scope="module")
-def golden():
-    here = Path(__file__).resolve().parent
+def golden_runs_in_child(thread_env, names=CASES):
+    """:func:`golden_runs` in a child process with ``thread_env`` set."""
     src = str(Path(ws.__file__).resolve().parents[1])
-    env = dict(os.environ, **SINGLE_THREAD_ENV)
+    env = dict(os.environ, **thread_env)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, str(here), env.get("PYTHONPATH")) if p)
+        p for p in (src, str(ROOT / "tests"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json, test_golden; print(json.dumps(test_golden.golden_runs()))"],
+         f"import json, test_golden; "
+         f"print(json.dumps(test_golden.golden_runs({tuple(names)!r})))"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return golden_runs_in_child(SINGLE_THREAD_ENV)
 
 
 def assert_hashes(golden, case, expected):
@@ -166,3 +204,12 @@ def test_golden_blobs_two_hidden_layers(golden):
 def test_golden_digits_reconstruction(golden):
     assert golden["digits"]["steps"] == 2 * 40
     assert_hashes(golden, "digits", DIGITS_SHA256)
+
+
+def test_golden_digits_reconstruction_at_two_threads():
+    golden = golden_runs_in_child(TWO_THREAD_ENV, ("digits",))
+    if golden["blas_threads"] != 2:
+        pytest.skip(f"BLAS ran {golden['blas_threads']} threads in the child, "
+                    "not 2")
+    assert golden["digits"]["steps"] == 2 * 40
+    assert_hashes(golden, "digits", DIGITS_TWO_THREADS_SHA256)

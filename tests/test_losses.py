@@ -324,6 +324,47 @@ def test_reconstruction_finite_differences_both_gradients():
         assert rel_err(fd_w, w_g) < 1e-4
 
 
+def dense_reconstruction_oracle(latent, labels, w):
+    """The loss as specified: a dense one-hot product, then the log-softmax
+    of each of its rows."""
+    onehot = np.zeros((labels.shape[0], w.shape[1]))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    recon = onehot @ w.T
+    logp = log_softmax(latent, axis=1)
+    logq = log_softmax(recon, axis=1)
+    p, q = np.exp(logp), np.exp(logq)
+    kl = (p * (logp - logq)).sum(axis=1)
+    b = latent.shape[0]
+    latent_grad = p * ((logp - logq) - kl[:, None]) / b
+    w_grad = ((q - p) / b).T @ onehot
+    return float(kl.mean()), latent_grad, w_grad
+
+
+# The class-row table must reproduce the dense form bit for bit, whatever
+# the memory layout of the weight it is handed.
+@pytest.mark.parametrize("layout", ["c", "fortran", "transposed_slice"])
+def test_reconstruction_class_table_bit_equal_to_dense_form(layout):
+    rng = np.random.default_rng(37)
+    for b in (1, 7, 32, 128):
+        for m in (2, 16, 64):
+            for n in (2, 3, 10):
+                for scale in (1e-3, 1.0, 30.0):
+                    latent = rng.normal(size=(b, m)) * scale
+                    labels = rng.integers(0, n, size=b)
+                    if layout == "transposed_slice":
+                        w = (rng.normal(size=(n + 1, m + 2)) * scale)[1:, 2:].T
+                    else:
+                        w = rng.normal(size=(m, n)) * scale
+                    if layout == "fortran":
+                        w = np.asfortranarray(w)
+                    got = reconstruction_loss(latent, labels, w)
+                    want = dense_reconstruction_oracle(latent, labels, w)
+                    case = (b, m, n, scale)
+                    assert np.array_equal(got[0], want[0]), case
+                    assert np.array_equal(got[1], want[1]), case
+                    assert np.array_equal(got[2], want[2]), case
+
+
 # --- combination ------------------------------------------------------
 
 

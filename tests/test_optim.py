@@ -110,21 +110,49 @@ def scalar_loop_oracle(params, grads, state, lr, update_mask, decay_mask_):
 
 def test_sgd_matches_scalar_loop_bit_exact():
     rng = np.random.default_rng(40)
-    params = (rng.normal(size=(3, 4)), rng.normal(size=4))
-    grads = (rng.normal(size=(3, 4)), rng.normal(size=4))
+    # the trend recipe's first-layer weight is 784x64
+    shapes = ((3, 4), (4,), (784, 64))
+    params = tuple(rng.normal(size=s) for s in shapes)
+    grads = tuple(rng.normal(size=s) for s in shapes)
     state = SgdState(
-        velocity=(rng.normal(size=(3, 4)), rng.normal(size=4)),
+        velocity=tuple(rng.normal(size=s) for s in shapes),
         momentum=0.9,
         weight_decay=1e-4,
     )
-    update = (True, True)
-    decay = (True, False)
+    update = (True, True, True)
+    decay = (True, False, True)
     got_p, got_s = sgd_step(params, grads, state, 0.1, update, decay)
     ref_p, ref_v = scalar_loop_oracle(params, grads, state, 0.1, update, decay)
     for a, b in zip(got_p, ref_p):
         assert np.array_equal(a, b)
     for a, b in zip(got_s.velocity, ref_v):
         assert np.array_equal(a, b)
+
+
+def test_sgd_leaves_its_inputs_alone():
+    # a decayed weight, an undecayed bias and a frozen weight
+    rng = np.random.default_rng(42)
+    shapes = ((5, 4), (4,), (4, 3))
+    params = tuple(rng.normal(size=s) for s in shapes)
+    grads = tuple(rng.normal(size=s) for s in shapes)
+    state = SgdState(velocity=tuple(rng.normal(size=s) for s in shapes),
+                     momentum=0.9, weight_decay=1e-2)
+    update = (True, True, False)
+    decay = (True, False, True)
+    before = [tuple(a.copy() for a in arrays)
+              for arrays in (params, grads, state.velocity)]
+    new_p, new_s = sgd_step(params, grads, state, 0.1, update, decay)
+    for arrays, copies in zip((params, grads, state.velocity), before):
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c)
+    inputs = params + grads + state.velocity
+    for k in (0, 1):
+        for out in (new_p[k], new_s.velocity[k]):
+            assert not any(np.shares_memory(out, a) for a in inputs)
+        assert not np.shares_memory(new_p[k], new_s.velocity[k])
+    # a frozen parameter and its velocity are handed back unchanged
+    assert new_p[2] is params[2]
+    assert new_s.velocity[2] is state.velocity[2]
 
 
 def test_sgd_rejects_nonfinite_gradient():
