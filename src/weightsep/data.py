@@ -60,6 +60,9 @@ class Dataset:
 # promising more than the stream holds never triggers one huge allocation.
 READ_CHUNK = 1 << 20
 
+# Rows write_idx scales at a time, so it holds no float copy of the dataset.
+WRITE_BLOCK_ROWS = 1024
+
 
 def _read_exact(f, count, path, what):
     """Read ``count`` bytes in bounded chunks: a header promising a huge
@@ -146,7 +149,10 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
         )
     if ds.n_classes > 256:
         raise FormatError("IDX labels are single bytes; need n_classes <= 256")
-    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
+    pixels = np.empty(ds.features.shape, dtype=np.uint8)
+    for start in range(0, n, WRITE_BLOCK_ROWS):
+        block = ds.features[start:start + WRITE_BLOCK_ROWS] * 255.0
+        pixels[start:start + WRITE_BLOCK_ROWS] = np.rint(block, out=block)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
         f.write(pixels.tobytes())

@@ -178,9 +178,10 @@ def _sample_epsilon(w, step):
     eps, eps_trace = report.epsilon, report.epsilon_trace
     # Absolute tolerance at ordinary magnitudes, relative once a diverging
     # run pushes the metric far above 1 (roundoff alone exceeds 1e-9 there).
-    # Written so that a NaN or infinite form fails the comparison too.
+    # An infinite form gets an infinite tolerance, so finiteness is separate.
     tol = EPSILON_FORM_TOL * max(1.0, abs(eps), abs(eps_trace))
-    if not abs(eps - eps_trace) <= tol:
+    if not (math.isfinite(eps) and math.isfinite(eps_trace)
+            and abs(eps - eps_trace) <= tol):
         raise NumericError(
             f"separability forms disagree at step {step}: "
             f"{eps!r} vs {eps_trace!r}"
@@ -255,7 +256,7 @@ def train(config, ds, eval_ds=None):
                 w_grad = config.lam * re_w
 
             total = losses.total_loss(cls_value, re_value, config.lam)
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 last = records[-1] if records else None
                 raise NumericError(
                     f"non-finite loss at step {step}; last finite record: {last}"
@@ -268,7 +269,8 @@ def train(config, ds, eval_ds=None):
             net = net.replace_parameters(params)
             report = _sample_epsilon(net.final_weight, step)
 
-            batch_acc = float(np.mean(decide_classes(logits) == labels))
+            batch_acc = (np.count_nonzero(decide_classes(logits) == labels)
+                         / len(labels))
             records.append(
                 MetricRecord(
                     step=step,

@@ -37,11 +37,13 @@ def log_softmax(v, axis=-1):
 
 
 def _check_labels(labels, n_classes):
-    """The one label check: a 1-D integer array with entries in
+    """The one label check: a 1-D integer (not bool) array with entries in
     [0, n_classes). Every public function taking labels runs it."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got ndim={labels.ndim}")
+    if labels.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DataError(
             f"label out of range for {n_classes} classes: "
@@ -71,7 +73,7 @@ def softmax_cross_entropy(logits, labels):
     labels = _check_labels(labels, n)
     rows = np.arange(b)
     logp = log_softmax(logits, axis=1)
-    loss = float(-logp[rows, labels].mean())
+    loss = float(-logp[rows, labels].sum() / b)
     # Subtracting the one-hot in place: x - 0.0 is x, so only the label
     # entries change, exactly as with a dense one-hot matrix.
     grad = np.exp(logp)
@@ -116,7 +118,7 @@ def center_loss(latent, labels, state):
     b = latent.shape[0]
 
     diff = latent - state.centers[labels]
-    loss = float(0.5 * np.sum(diff * diff) / b)
+    loss = float(0.5 * (diff * diff).sum() / b)
     grad = diff / b
 
     # Batch mean of each class present. np.add.at adds the rows in batch
@@ -126,13 +128,14 @@ def center_loss(latent, labels, state):
     # indices put add.at on its fast one-dimensional path.
     counts = np.bincount(labels, minlength=n_classes)
     sums = np.zeros((n_classes, dim))
-    flat = (labels.astype(np.intp)[:, None] * dim + np.arange(dim)).ravel()
+    flat = (labels.astype(np.intp, copy=False)[:, None] * dim
+            + np.arange(dim)).ravel()
     np.add.at(sums.reshape(-1), flat, latent.ravel())
-    present = np.flatnonzero(counts)
-    new_centers = state.centers.copy()
-    new_centers[present] += state.update_rate * (
-        sums[present] / counts[present, None] - new_centers[present]
-    )
+    # Absent classes keep their centers; a float divisor skips an int cast.
+    c = state.centers
+    means = sums / np.maximum(counts, 1.0)[:, None]
+    moved = c + state.update_rate * (means - c)
+    new_centers = np.where(counts[:, None] > 0, moved, c)
     return loss, grad, CenterState(new_centers, state.update_rate)
 
 
@@ -167,10 +170,15 @@ def reconstruction_loss(latent, labels, w):
 
     log_ratio = logp - logq
     kl = (p * log_ratio).sum(axis=1)
-    loss = float(kl.mean())
+    loss = float(kl.sum() / b)
 
-    latent_grad = p * (log_ratio - kl[:, None]) / b
-    recon_grad = (q - p) / b
+    # p * (log_ratio - kl) / b and (q - p) / b, in place on this call's arrays.
+    latent_grad = log_ratio
+    latent_grad -= kl[:, None]
+    latent_grad *= p
+    latent_grad /= b
+    recon_grad = q - p
+    recon_grad /= b
     w_grad = recon_grad.T @ onehot
     return loss, latent_grad, w_grad
 

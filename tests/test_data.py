@@ -338,6 +338,40 @@ def test_load_mnist_dir_missing_gives_fetch_hint(tmp_path):
     assert "http" in str(err.value)
 
 
+def blocks_dataset(n_blocks, seed):
+    """A dataset a few rows over ``n_blocks`` write blocks, whose first rows
+    land on the half-way points that rounding must break to even."""
+    from weightsep.data import WRITE_BLOCK_ROWS
+
+    rng = np.random.default_rng(seed)
+    n = n_blocks * WRITE_BLOCK_ROWS + 5
+    features = rng.random((n, 6))
+    features[:85] = np.arange(510).reshape(85, 6) / 510.0
+    return Dataset(features, rng.integers(0, 3, size=n), 3)
+
+
+def test_write_idx_bytes_equal_one_shot_conversion(tmp_path):
+    ds = blocks_dataset(3, seed=24)
+    img, lab = tmp_path / "img", tmp_path / "lab"
+    write_idx(ds, img, lab, image_shape=(2, 3))
+    header = struct.pack(">IIII", 0x00000803, len(ds), 2, 3)
+    one_shot = np.rint(ds.features * 255.0).astype(np.uint8).tobytes()
+    assert img.read_bytes() == header + one_shot
+
+
+def test_write_idx_holds_no_float_copy_of_the_dataset(tmp_path):
+    import tracemalloc
+
+    ds = blocks_dataset(8, seed=25)
+    tracemalloc.start()
+    try:
+        write_idx(ds, tmp_path / "img", tmp_path / "lab", image_shape=(2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes / 2
+
+
 def test_load_mnist_dir_reads_idx_pairs(tmp_path):
     train = synth_digits(per_class=2, seed=20)
     test = synth_digits(per_class=1, seed=21)

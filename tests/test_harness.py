@@ -275,6 +275,42 @@ def test_epsilon_sample_rejects_overflowing_forms():
     assert report.epsilon == report.epsilon_trace == 0.0
 
 
+@pytest.mark.parametrize("forms", [(np.inf, 1.0), (1.0, np.inf),
+                                   (np.inf, np.inf), (np.nan, 1.0)])
+def test_epsilon_sample_rejects_a_non_finite_form(monkeypatch, forms):
+    from weightsep.separability import SeparabilityReport
+
+    report = SeparabilityReport(*forms, error_matrix=np.zeros((1, 1)),
+                                n_classes=1)
+    monkeypatch.setattr(harness, "separability_report", lambda w: report)
+    with pytest.raises(ws.NumericError, match="step 4"):
+        harness._sample_epsilon(np.eye(1), 4)
+
+
+def test_batch_accuracy_equals_float_mean(blobs_small, monkeypatch):
+    # Each record's accuracy must equal float(np.mean(pred == labels)) for
+    # the batch it was computed on, at a batch size that divides inexactly.
+    preds, labels = [], []
+    decide, batches = harness.decide_classes, harness.batches
+
+    def recording_decide(logits):
+        preds.append(decide(logits))
+        return preds[-1]
+
+    def recording_batches(*args):
+        for feats, y in batches(*args):
+            labels.append(y)
+            yield feats, y
+
+    monkeypatch.setattr(harness, "decide_classes", recording_decide)
+    monkeypatch.setattr(harness, "batches", recording_batches)
+    art = train(blob_config(epochs=2, batch_size=7), blobs_small)
+    assert len(preds) == len(labels) == len(art.records)
+    expected = [float(np.mean(p == y)) for p, y in zip(preds, labels)]
+    assert [r.train_accuracy for r in art.records] == expected
+    assert len(set(expected)) > 2
+
+
 def test_reconstruction_loss_logged(blobs_small):
     art = train(blob_config(use_reconstruction=True, epochs=2),
                 blobs_small)

@@ -107,6 +107,22 @@ def test_one_hot_label_checks():
         one_hot(np.array([[0, 1]]), 3)
 
 
+# A bool array would index as a mask and a float array cannot index at all,
+# so every function that takes labels rejects both as a DataError.
+@pytest.mark.parametrize("labels", [np.array([True, False]),
+                                    np.array([0.0, 1.0])], ids=["bool", "float"])
+def test_non_integer_labels_are_rejected(labels):
+    calls = (
+        lambda: softmax_cross_entropy(np.zeros((2, 2)), labels),
+        lambda: one_hot(labels, 2),
+        lambda: center_loss(np.zeros((2, 3)), labels, CenterState.zeros(2, 3)),
+        lambda: reconstruction_loss(np.zeros((2, 3)), labels, np.zeros((3, 2))),
+    )
+    for call in calls:
+        with pytest.raises(DataError, match="labels must be integers"):
+            call()
+
+
 def test_ce_label_out_of_range():
     with pytest.raises(DataError):
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,12 @@ from weightsep import (
     OrientationError,
     error_matrix,
     format_epsilon,
+    frobenius_norm_sq,
     semi_orthogonal_init,
     separability_metric,
     separability_metric_trace_form,
     separability_report,
+    trace,
 )
 
 
@@ -132,6 +136,43 @@ def test_report_carries_both_forms_bit_for_bit():
     for form in (separability_metric, separability_metric_trace_form):
         with pytest.raises(NumericError), np.errstate(over="ignore"):
             form(np.diag([1e80, 1e80]))
+
+
+def linalg_oracle(w):
+    """The dense error matrix and both forms through the checked linalg
+    helpers; raises NumericError where those helpers do."""
+    n = w.shape[1]
+    e = w.T @ w - np.eye(n)
+    return e, frobenius_norm_sq(e) / n, trace(e @ e) / n
+
+
+def test_report_bit_equal_to_linalg_oracle():
+    rng = np.random.default_rng(13)
+    finite = overflowed = 0
+    for exponent in (-150, -100, -40, -8, 0, 8, 40, 76, 77, 100, 150):
+        for n in range(1, 11):
+            m = n + int(rng.integers(0, 6))
+            scale = 10.0 ** exponent * rng.uniform(0.5, 2.0)
+            c = rng.normal(size=(m, n)) * scale
+            strided = (rng.normal(size=(2 * m, 3 * n)) * scale)[::2, ::3]
+            for w in (c, np.asfortranarray(c), strided):
+                with np.errstate(over="ignore"):
+                    try:
+                        e, eps, eps_trace = linalg_oracle(w)
+                        ok = math.isfinite(eps) and math.isfinite(eps_trace)
+                    except NumericError:
+                        ok = False
+                    if not ok:
+                        overflowed += 1
+                        with pytest.raises(NumericError):
+                            separability_report(w)
+                        continue
+                finite += 1
+                rep = separability_report(w)
+                assert np.array_equal(rep.error_matrix, e)
+                assert rep.epsilon == eps
+                assert rep.epsilon_trace == eps_trace
+    assert finite and overflowed
 
 
 def test_epsilon_formatting_three_significant_digits():
