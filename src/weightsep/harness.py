@@ -178,12 +178,13 @@ def _sample_epsilon(w, step):
     eps, eps_trace = report.epsilon, report.epsilon_trace
     # Absolute tolerance at ordinary magnitudes, relative once a diverging
     # run pushes the metric far above 1 (roundoff alone exceeds 1e-9 there).
-    # An infinite form gets an infinite tolerance, so finiteness is separate.
+    # An infinite form gets an infinite tolerance, so finiteness is checked
+    # on its own; this is the one place a non-finite form is rejected.
     tol = EPSILON_FORM_TOL * max(1.0, abs(eps), abs(eps_trace))
     if not (math.isfinite(eps) and math.isfinite(eps_trace)
             and abs(eps - eps_trace) <= tol):
         raise NumericError(
-            f"separability forms disagree at step {step}: "
+            f"separability forms not finite or disagree at step {step}: "
             f"{eps!r} vs {eps_trace!r}"
         )
     return report

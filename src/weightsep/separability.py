@@ -13,15 +13,12 @@ rejected rather than silently transposed, since that usually means the caller
 holds a row-kernel layout and should pass the transpose explicitly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, OrientationError
-# separability_report sums e itself; the two linalg helpers stay bound here,
-# where the benchmark's tracer looks them up.
-from .linalg import as_matrix, frobenius_norm_sq, trace  # noqa: F401
+from .errors import OrientationError
+from .linalg import as_matrix, frobenius_norm_sq, trace
 
 
 def error_matrix(w):
@@ -67,15 +64,16 @@ class SeparabilityReport:
 def separability_report(w):
     """Both metric forms and the error matrix for the given weight matrix,
     all from one error matrix: ``epsilon`` is the Frobenius form and
-    ``epsilon_trace`` the trace form. A non-finite weight or form raises
-    :class:`NumericError`."""
+    ``epsilon_trace`` the trace form. A non-finite weight, error matrix or
+    squared error matrix raises :class:`NumericError`."""
     e = error_matrix(w)
     n = e.shape[0]
-    eps, eps_trace = float((e * e).sum()) / n, float((e @ e).trace()) / n
-    if not (math.isfinite(eps) and math.isfinite(eps_trace)):
-        raise NumericError(f"separability: non-finite forms {eps!r}, "
-                           f"{eps_trace!r} (trace)")
-    return SeparabilityReport(eps, eps_trace, error_matrix=e, n_classes=n)
+    return SeparabilityReport(
+        epsilon=frobenius_norm_sq(e) / n,
+        epsilon_trace=trace(e @ e) / n,
+        error_matrix=e,
+        n_classes=n,
+    )
 
 
 def format_epsilon(value):

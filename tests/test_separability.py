@@ -147,32 +147,37 @@ def linalg_oracle(w):
 
 
 def test_report_bit_equal_to_linalg_oracle():
+    # Overflowing scales are covered too: the report must raise exactly
+    # where the oracle does, and carry the same infinite forms where the
+    # oracle returns them (the training harness rejects those).
     rng = np.random.default_rng(13)
-    finite = overflowed = 0
+    finite = infinite = raised = 0
     for exponent in (-150, -100, -40, -8, 0, 8, 40, 76, 77, 100, 150):
         for n in range(1, 11):
             m = n + int(rng.integers(0, 6))
             scale = 10.0 ** exponent * rng.uniform(0.5, 2.0)
             c = rng.normal(size=(m, n)) * scale
             strided = (rng.normal(size=(2 * m, 3 * n)) * scale)[::2, ::3]
-            for w in (c, np.asfortranarray(c), strided):
+            # At 1e77 its squared entries are finite but their sums are not.
+            diagonal = np.eye(m, n) * 10.0 ** exponent
+            for w in (c, np.asfortranarray(c), strided, diagonal):
                 with np.errstate(over="ignore"):
                     try:
                         e, eps, eps_trace = linalg_oracle(w)
-                        ok = math.isfinite(eps) and math.isfinite(eps_trace)
                     except NumericError:
-                        ok = False
-                    if not ok:
-                        overflowed += 1
+                        raised += 1
                         with pytest.raises(NumericError):
                             separability_report(w)
                         continue
-                finite += 1
-                rep = separability_report(w)
+                    rep = separability_report(w)
+                if math.isfinite(eps) and math.isfinite(eps_trace):
+                    finite += 1
+                else:
+                    infinite += 1
                 assert np.array_equal(rep.error_matrix, e)
                 assert rep.epsilon == eps
                 assert rep.epsilon_trace == eps_trace
-    assert finite and overflowed
+    assert finite and infinite and raised
 
 
 def test_epsilon_formatting_three_significant_digits():
