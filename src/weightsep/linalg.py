@@ -38,7 +38,7 @@ def as_matrix(a, name="matrix"):
 def frobenius_norm_sq(m):
     """Sum of squared entries (the squared Frobenius norm)."""
     m = as_matrix(m)
-    return float(np.sum(m * m))
+    return float((m * m).sum())
 
 
 def trace(m):
@@ -46,7 +46,7 @@ def trace(m):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"trace: matrix must be square, got {m.shape}")
-    return float(np.trace(m))
+    return float(m.trace())
 
 
 @dataclass(frozen=True)
