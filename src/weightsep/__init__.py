@@ -2,7 +2,6 @@
 training for dense classifiers, on a small self-contained numpy core."""
 
 from .data import (
-    BatchPlan,
     Dataset,
     batches,
     filter_classes,
@@ -56,7 +55,6 @@ from .linalg import (
     trace,
 )
 from .losses import (
-    CenterState,
     center_loss,
     log_softmax,
     one_hot,
@@ -74,7 +72,7 @@ from .network import (
     forward,
     init_network,
 )
-from .optim import LrSchedule, SgdState, decay_mask, freeze_mask, lr_at, sgd_step
+from .optim import lr_at, sgd_step
 from .separability import (
     SeparabilityReport,
     error_matrix,

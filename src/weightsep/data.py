@@ -12,6 +12,7 @@ real digit files are not on disk.
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class Dataset:
             raise DataError(
                 f"label count {l.shape} != sample count {f.shape[0]}"
             )
+        if l.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {l.dtype}")
         if not np.all(np.isfinite(f)):
             raise NumericError("features contain non-finite values")
         if f.size and (f.min() < 0.0 or f.max() > 1.0):
@@ -88,19 +91,23 @@ def _open_binary(path):
 
 
 def _read_idx_array(path, expected_magic, n_dims, what):
-    with _open_binary(path) as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
-        if magic != expected_magic:
-            raise FormatError(
-                f"{path}: bad magic for {what}: expected "
-                f"0x{expected_magic:08x}, found 0x{magic:08x}"
+    try:
+        with _open_binary(path) as f:
+            (magic,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
+            if magic != expected_magic:
+                raise FormatError(
+                    f"{path}: bad magic for {what}: expected "
+                    f"0x{expected_magic:08x}, found 0x{magic:08x}"
+                )
+            dims = struct.unpack(
+                f">{n_dims}I", _read_exact(f, 4 * n_dims, path, "dimensions")
             )
-        dims = struct.unpack(
-            f">{n_dims}I", _read_exact(f, 4 * n_dims, path, "dimensions")
-        )
-        payload = _read_exact(f, math.prod(dims), path, "payload")
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
+            payload = _read_exact(f, math.prod(dims), path, "payload")
+            if f.read(1):
+                raise FormatError(f"{path}: trailing bytes after payload")
+    # What gzip raises on a cut-short, damaged or non-gzip ``.gz`` file.
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise FormatError(f"{path}: corrupt gzip stream: {e}") from e
     return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
@@ -283,32 +290,18 @@ def synth_digits(per_class, seed):
     )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Deterministic epoch batching: a fresh permutation is derived from
-    (seed, epoch); every sample appears exactly once per epoch and the last
-    batch may be short."""
-
-    batch_size: int
-    seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be positive, got {self.batch_size}"
-            )
-
-
-def batches(ds, plan, epoch):
-    """Yield (features, labels) batches for one epoch of ``ds``."""
+def batches(ds, batch_size, seed, epoch):
+    """Yield (features, labels) batches for one epoch of ``ds``, in a fresh
+    permutation derived from (seed, epoch): every sample appears exactly once
+    and the last batch may be short."""
     n = len(ds)
-    if plan.batch_size > n:
-        raise ConfigError(
-            f"batch_size {plan.batch_size} exceeds dataset size {n}"
-        )
-    perm = generator(plan.seed, STREAM_BATCH, epoch).permutation(n)
-    for start in range(0, n, plan.batch_size):
-        idx = perm[start : start + plan.batch_size]
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    if batch_size > n:
+        raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
+    perm = generator(seed, STREAM_BATCH, epoch).permutation(n)
+    for start in range(0, n, batch_size):
+        idx = perm[start : start + batch_size]
         yield ds.features[idx], ds.labels[idx]
 
 

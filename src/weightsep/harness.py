@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import losses, optim
-from .data import BatchPlan, batches
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .data import batches
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .linalg import pca_reduce
 from .network import (
     FINAL_INITS,
@@ -117,20 +117,19 @@ class TrainConfig:
         check_seed(self.seed)
         if not 0.0 < self.center_rate <= 1.0:
             raise ConfigError(f"center_rate must be in (0, 1], got {self.center_rate}")
-        # These check their own values, so a bad config fails before any data.
-        self.schedule()
-        BatchPlan(self.batch_size, self.seed)
-        optim.SgdState.for_params((), self.momentum, self.weight_decay)
-
-    def schedule(self):
-        return optim.LrSchedule(
-            base_lr=self.base_lr,
-            milestones=self.milestones,
-            factor=self.lr_factor,
-        )
-
-    def network_spec(self):
-        return NetworkSpec(self.layer_dims)
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.lr_factor < 1:
+            raise ConfigError(f"lr_factor must be in (0,1), got {self.lr_factor}")
+        ms = self.milestones
+        if any(b <= a for a, b in zip(ms, ms[1:])):
+            raise ConfigError(f"milestones must be strictly increasing: {ms}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def default_config(ds, seed):
@@ -208,30 +207,29 @@ def train(config, ds, eval_ds=None):
     if dims[-1] != ds.n_classes:
         raise ConfigError(f"layer_dims: last width {dims[-1]} != the data's "
                           f"class count {ds.n_classes}")
-    spec = config.network_spec()
+    spec = NetworkSpec(dims)
 
     net = init_network(spec, config.seed, final_init=config.final_init)
     params = net.parameters()
-    state = optim.SgdState.for_params(
-        params, momentum=config.momentum, weight_decay=config.weight_decay
-    )
-    update_mask = optim.freeze_mask(net, config.freeze_final)
-    decay_mask = optim.decay_mask(net)
-    plan = BatchPlan(batch_size=config.batch_size, seed=config.seed)
-    schedule = config.schedule()
+    velocity = tuple(np.zeros_like(p) for p in params)
+    # Weight decay skips biases; freeze_final stops the decision weight.
+    layout = spec.parameter_layout()
+    decayed = [is_weight for _, _, is_weight in layout]
+    trainable = [True] * len(layout)
+    if config.freeze_final:
+        trainable[-1] = False
 
     centers = None
     if config.loss == "softmax_ce_plus_center":
-        centers = losses.CenterState.zeros(
-            spec.n_classes, spec.latent_dim, update_rate=config.center_rate
-        )
+        centers = np.zeros((spec.n_classes, spec.latent_dim))
 
     records = []
     eval_accuracy = []
     step = 0
     for epoch in range(config.epochs):
-        lr = optim.lr_at(schedule, epoch)
-        for feats, labels in batches(ds, plan, epoch):
+        lr = optim.lr_at(config.base_lr, config.milestones, config.lr_factor,
+                         epoch)
+        for feats, labels in batches(ds, config.batch_size, config.seed, epoch):
             trace = forward(net, feats)
             logits = trace.logits
             latent = trace.latent
@@ -240,7 +238,7 @@ def train(config, ds, eval_ds=None):
             latent_grad = None
             if centers is not None:
                 c_value, latent_grad, centers = losses.center_loss(
-                    latent, labels, centers
+                    latent, labels, centers, config.center_rate
                 )
                 cls_value += c_value
 
@@ -264,8 +262,9 @@ def train(config, ds, eval_ds=None):
                 )
 
             grads = backward(net, trace, ce_grad, latent_grad, w_grad)
-            params, state = optim.sgd_step(
-                params, grads, state, lr, update_mask, decay_mask
+            params, velocity = optim.sgd_step(
+                params, grads, velocity, lr, config.momentum,
+                config.weight_decay, trainable, decayed
             )
             net = net.replace_parameters(params)
             report = _sample_epsilon(net.final_weight, step)
@@ -457,6 +456,9 @@ def export_pca(latents, labels, path, k=3):
     columns pc1..pck,label, floats at full precision, whole or not at all."""
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != latents.shape[:1]:
+        raise ShapeError(f"{labels.shape} labels for {latents.shape} latents; "
+                         "need one label per latent row")
     reduced = pca_reduce(latents, min(k, latents.shape[1]))
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -14,8 +14,6 @@ at any batch size. Gradients are returned analytically next to each value.
 Every function that takes labels validates them.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, ShapeError
@@ -82,34 +80,20 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad
 
 
-@dataclass(frozen=True)
-class CenterState:
-    """Running per-class centroids in latent space.
-
-    Centers move toward each batch's class means at ``update_rate``; no
-    gradient flows through them.
-    """
-
-    centers: np.ndarray
-    update_rate: float = 0.5
-
-    @classmethod
-    def zeros(cls, n_classes, latent_dim, update_rate=0.5):
-        return cls(centers=np.zeros((n_classes, latent_dim)),
-                   update_rate=update_rate)
-
-
-def center_loss(latent, labels, state):
+def center_loss(latent, labels, centers, rate):
     """Half mean squared distance of each latent row to its class center.
 
-    Returns (loss, dloss/dlatent, updated_state). The centers match a
-    per-class ``mean(axis=0)`` update bit for bit at latent widths of 2 and
-    up; at width 1 they may differ from it in the last bit.
+    ``centers`` holds one running centroid per class in latent space; each
+    present class's centroid moves toward its batch mean at ``rate``, and no
+    gradient flows through them. Returns (loss, dloss/dlatent, new_centers).
+    The new centers match a per-class ``mean(axis=0)`` update bit for bit at
+    latent widths of 2 and up; at width 1 they may differ from it in the
+    last bit.
     """
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2:
         raise ShapeError(f"latent must be 2-D, got ndim={latent.ndim}")
-    n_classes, dim = state.centers.shape
+    n_classes, dim = centers.shape
     if latent.shape[1] != dim:
         raise ShapeError(
             f"latent width {latent.shape[1]} != center width {dim}"
@@ -117,7 +101,7 @@ def center_loss(latent, labels, state):
     labels = _check_labels(labels, n_classes)
     b = latent.shape[0]
 
-    diff = latent - state.centers[labels]
+    diff = latent - centers[labels]
     loss = float(0.5 * (diff * diff).sum() / b)
     grad = diff / b
 
@@ -132,11 +116,9 @@ def center_loss(latent, labels, state):
             + np.arange(dim)).ravel()
     np.add.at(sums.reshape(-1), flat, latent.ravel())
     # Absent classes keep their centers; a float divisor skips an int cast.
-    c = state.centers
     means = sums / np.maximum(counts, 1.0)[:, None]
-    moved = c + state.update_rate * (means - c)
-    new_centers = np.where(counts[:, None] > 0, moved, c)
-    return loss, grad, CenterState(new_centers, state.update_rate)
+    moved = centers + rate * (means - centers)
+    return loss, grad, np.where(counts[:, None] > 0, moved, centers)
 
 
 def reconstruction_loss(latent, labels, w):

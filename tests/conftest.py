@@ -82,6 +82,36 @@ def epoch_epsilons(artifact):
     return np.array([by_epoch[e] for e in sorted(by_epoch)])
 
 
+def train_masks(dims, freeze_final):
+    """The ``trainable`` and ``decayed`` masks that one step of ``train`` on a
+    network of widths ``dims`` hands to ``sgd_step``."""
+    seen = []
+    step = ws.optim.sgd_step
+
+    def recording(params, grads, velocity, lr, momentum, weight_decay,
+                  trainable, decayed):
+        seen.append((list(trainable), list(decayed)))
+        return step(params, grads, velocity, lr, momentum, weight_decay,
+                    trainable, decayed)
+
+    ds = ws.synth_blobs(dims[-1], 2, dims[0], 0.1, seed=0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ws.optim, "sgd_step", recording)
+        ws.train(ws.TrainConfig(layer_dims=dims, epochs=1, seed=0,
+                                batch_size=len(ds), freeze_final=freeze_final),
+                 ds)
+    assert len(seen) == 1
+    return seen[0]
+
+
+# Damaged forms of the gzip bytes ``gz``, by the error gzip raises on them.
+CORRUPT_GZIP = {
+    "truncated": lambda gz: gz[:len(gz) // 2],  # EOFError
+    "garbage-after-header": lambda gz: gz[:10] + b"\xff" * 20,  # zlib.error
+    "bad-gzip-magic": lambda gz: b"not a gzip file",  # gzip.BadGzipFile
+}
+
+
 # Pins BLAS to one thread in a child process: OpenBLAS splits the larger
 # matrix products across threads, and the split changes their rounding.
 SINGLE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",

@@ -125,11 +125,10 @@ def test_criterion_03_gradient_suite(report):
             lambda: ws.softmax_cross_entropy(logits, labels)[0], logits)
         worst["ce"] = max(worst["ce"], rel_err(g, fd))
 
-        state = ws.CenterState(centers=rng.normal(size=(n, d)),
-                               update_rate=0.5)
-        _, g, _ = ws.center_loss(latent, labels, state)
+        centers = rng.normal(size=(n, d))
+        _, g, _ = ws.center_loss(latent, labels, centers, 0.5)
         fd = central_difference(
-            lambda: ws.center_loss(latent, labels, state)[0], latent)
+            lambda: ws.center_loss(latent, labels, centers, 0.5)[0], latent)
         worst["center"] = max(worst["center"], rel_err(g, fd))
 
         _, g_lat, g_w = ws.reconstruction_loss(latent, labels, w)
@@ -272,9 +271,8 @@ def test_criterion_08_similarity_direction(request, report):
 
 def test_criterion_09_schedule_and_sgd_identities(blobs_small, report):
     start = time.perf_counter()
-    sched = ws.LrSchedule(base_lr=0.1, milestones=(100, 200, 250), factor=0.1)
     sched_ok = all(
-        abs(ws.lr_at(sched, e) - v) < 1e-15
+        abs(ws.lr_at(0.1, (100, 200, 250), 0.1, e) - v) < 1e-15
         for e, v in ((0, 0.1), (100, 0.01), (200, 0.001), (250, 0.0001))
     )
 
@@ -282,29 +280,28 @@ def test_criterion_09_schedule_and_sgd_identities(blobs_small, report):
     params = (rng.normal(size=(4, 3)), rng.normal(size=3),
               rng.normal(size=(3, 2)))
     grads = tuple(rng.normal(size=p.shape) for p in params)
-    state = ws.SgdState(
-        velocity=tuple(rng.normal(size=p.shape) for p in params),
-        momentum=0.9, weight_decay=1e-4,
-    )
+    velocity = tuple(rng.normal(size=p.shape) for p in params)
+    momentum, weight_decay = 0.9, 1e-4
     update = (True, True, False)
     decay = (True, False, True)
-    got_p, got_s = ws.sgd_step(params, grads, state, 0.1, update, decay)
+    got_p, got_v = ws.sgd_step(params, grads, velocity, 0.1, momentum,
+                               weight_decay, update, decay)
     exact = True
-    for k, (p, g, v) in enumerate(zip(params, grads, state.velocity)):
+    for k, (p, g, v) in enumerate(zip(params, grads, velocity)):
         p_ref, v_ref = p.copy(), v.copy()
         if update[k]:
             for idx in np.ndindex(p.shape):
-                g_eff = g[idx] + (state.weight_decay * p[idx] if decay[k] else 0.0)
-                v_ref[idx] = state.momentum * v[idx] + g_eff
+                g_eff = g[idx] + (weight_decay * p[idx] if decay[k] else 0.0)
+                v_ref[idx] = momentum * v[idx] + g_eff
                 p_ref[idx] = p[idx] - 0.1 * v_ref[idx]
         exact = exact and np.array_equal(got_p[k], p_ref)
-        exact = exact and np.array_equal(got_s.velocity[k], v_ref)
+        exact = exact and np.array_equal(got_v[k], v_ref)
 
     cfg = ws.TrainConfig(layer_dims=(8, 16, 3), epochs=2, seed=5,
                          batch_size=16, freeze_final=True,
                          final_init="semi_orthogonal")
     art = ws.train(cfg, blobs_small)
-    fresh = ws.init_network(cfg.network_spec(), cfg.seed,
+    fresh = ws.init_network(ws.NetworkSpec(cfg.layer_dims), cfg.seed,
                             final_init="semi_orthogonal")
     frozen_ok = np.array_equal(art.network.final_weight, fresh.final_weight)
 

@@ -10,6 +10,7 @@ reuses its checkpoint.
 
 import argparse
 import contextlib
+import gzip
 import io
 import os
 import re
@@ -26,8 +27,8 @@ import weightsep
 from weightsep import Dataset, cli, config_from_text, harness, write_idx
 from weightsep.cli import main
 
-from conftest import (JSON_PROBES, SINGLE_THREAD_ENV, config_with,
-                      rewrite_checkpoint)
+from conftest import (CORRUPT_GZIP, JSON_PROBES, SINGLE_THREAD_ENV,
+                      config_with, rewrite_checkpoint)
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "0,1,2",
              "--layer-dims", "32,16,3"]
@@ -700,6 +701,21 @@ def test_oversized_idx_header_exits_3(tmp_path):
     )
     assert rc == 3
     assert err.startswith("error:format:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", CORRUPT_GZIP)
+def test_corrupt_gzip_data_file_exits_3(tmp_path, kind):
+    author_digit_dir(tmp_path)
+    img = tmp_path / "train-images-idx3-ubyte"
+    gz = tmp_path / "train-images-idx3-ubyte.gz"
+    gz.write_bytes(CORRUPT_GZIP[kind](gzip.compress(img.read_bytes())))
+    img.unlink()
+    rc, _, err = run_cli(
+        ["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")]
+    )
+    assert rc == 3
+    assert err.startswith("error:format:") and "corrupt gzip stream" in err
     assert "Traceback" not in err
 
 

@@ -8,8 +8,8 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import CORRUPT_GZIP
 from weightsep import (
-    BatchPlan,
     ConfigError,
     DataError,
     Dataset,
@@ -167,6 +167,15 @@ def test_gzip_transparent(tmp_path):
     assert np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("kind", CORRUPT_GZIP)
+def test_corrupt_gzip_is_a_format_error(tmp_path, kind):
+    img, lab = author_idx_pair(tmp_path, list(range(8)), [1, 0], rows=2, cols=2)
+    gz_img = tmp_path / "img.idx.gz"
+    gz_img.write_bytes(CORRUPT_GZIP[kind](gzip.compress(img.read_bytes())))
+    with pytest.raises(FormatError, match="corrupt gzip stream"):
+        read_idx(gz_img, lab)
+
+
 def test_idx_round_trip(tmp_path):
     ds = synth_digits(per_class=3, seed=5)
     img = tmp_path / "digits.idx"
@@ -184,6 +193,14 @@ def test_dataset_validation():
         Dataset(feats, np.array([0, 1, 3]), 3)
     with pytest.raises(DataError):
         Dataset(feats + 2.0, np.array([0, 1, 2]), 3)
+
+
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 0.0, 1.0]),
+                                    np.array([False, True, False, True])],
+                         ids=["float", "bool"])
+def test_dataset_rejects_non_integer_labels(labels):
+    with pytest.raises(DataError, match="labels must be integers"):
+        Dataset(np.zeros((4, 2)), labels, 2)
 
 
 # --- filtering --------------------------------------------------------
@@ -295,37 +312,35 @@ def test_digits_bytes_are_pinned():
 
 def test_batch_sizes_last_short():
     ds = synth_blobs(2, 5, 3, 0.1, seed=10)  # N = 10
-    plan = BatchPlan(batch_size=3, seed=0)
-    sizes = [len(lab) for _, lab in batches(ds, plan, epoch=0)]
+    sizes = [len(lab) for _, lab in batches(ds, 3, 0, epoch=0)]
     assert sizes == [3, 3, 3, 1]
 
 
 def test_batches_cover_dataset_exactly_once():
     ds = synth_blobs(3, 7, 4, 0.1, seed=11)
-    plan = BatchPlan(batch_size=4, seed=1)
-    feats = np.concatenate([f for f, _ in batches(ds, plan, epoch=2)])
-    labs = np.concatenate([l for _, l in batches(ds, plan, epoch=2)])
+    feats = np.concatenate([f for f, _ in batches(ds, 4, 1, epoch=2)])
+    labs = np.concatenate([l for _, l in batches(ds, 4, 1, epoch=2)])
     assert sorted(map(tuple, feats)) == sorted(map(tuple, ds.features))
     assert np.array_equal(np.sort(labs), np.sort(ds.labels))
 
 
 def test_batches_shuffle_by_epoch_and_replay():
     ds = synth_blobs(2, 10, 3, 0.1, seed=12)
-    plan = BatchPlan(batch_size=5, seed=2)
 
     def order(epoch):
-        return np.concatenate([l for _, l in batches(ds, plan, epoch)])
+        return np.concatenate([l for _, l in batches(ds, 5, 2, epoch)])
 
     assert not np.array_equal(order(0), order(1))
     assert np.array_equal(order(0), order(0))
 
 
 def test_batch_plan_validation():
-    with pytest.raises(ConfigError):
-        BatchPlan(batch_size=0, seed=0)
     ds = synth_blobs(2, 3, 3, 0.1, seed=13)
-    with pytest.raises(ConfigError):
-        list(batches(ds, BatchPlan(batch_size=7, seed=0), epoch=0))
+    # a ConfigError, not the ValueError range() raises for a step of 0
+    with pytest.raises(ConfigError, match="batch_size must be positive"):
+        list(batches(ds, 0, 0, epoch=0))
+    with pytest.raises(ConfigError, match="exceeds dataset size"):
+        list(batches(ds, 7, 0, epoch=0))
 
 
 # --- directory loader -------------------------------------------------

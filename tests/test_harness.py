@@ -84,9 +84,9 @@ def test_config_defaults_match_published_recipe():
     assert cfg.lr_factor == 0.1
     assert cfg.momentum == 0.9
     assert cfg.weight_decay == 1e-4
-    sched = cfg.schedule()
-    assert ws.lr_at(sched, 0) == 0.1
-    assert abs(ws.lr_at(sched, 250) - 1e-4) < 1e-18
+    sched = (cfg.base_lr, cfg.milestones, cfg.lr_factor)
+    assert ws.lr_at(*sched, 0) == 0.1
+    assert abs(ws.lr_at(*sched, 250) - 1e-4) < 1e-18
 
 
 def test_default_config_is_the_desk_scale_recipe(blobs_small):
@@ -328,23 +328,23 @@ def test_train_step_composes_gradient_seeds(blobs_small):
     art = train(cfg, blobs_small)
     assert len(art.records) == 1
 
-    spec = cfg.network_spec()
+    spec = ws.NetworkSpec(cfg.layer_dims)
     net = ws.init_network(spec, cfg.seed)
-    plan = ws.BatchPlan(batch_size=cfg.batch_size, seed=cfg.seed)
-    feats, labels = next(ws.batches(blobs_small, plan, 0))
+    feats, labels = next(ws.batches(blobs_small, cfg.batch_size, cfg.seed, 0))
     tr = ws.forward(net, feats)
     ce, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
-    centers = ws.CenterState.zeros(spec.n_classes, spec.latent_dim,
-                                   cfg.center_rate)
-    c, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
+    centers = np.zeros((spec.n_classes, spec.latent_dim))
+    c, center_grad, _ = ws.center_loss(tr.latent, labels, centers,
+                                       cfg.center_rate)
     re, re_latent, re_w = ws.reconstruction_loss(
         tr.latent, labels, net.final_weight)
     grads = ws.backward(net, tr, logit_grad, center_grad + cfg.lam * re_latent,
                         cfg.lam * re_w)
     params = net.parameters()
-    state = ws.SgdState.for_params(params, cfg.momentum, cfg.weight_decay)
-    params, _ = ws.sgd_step(params, grads, state, cfg.base_lr,
-                            ws.freeze_mask(net, False), ws.decay_mask(net))
+    velocity = tuple(np.zeros_like(p) for p in params)
+    decayed = [is_weight for _, _, is_weight in spec.parameter_layout()]
+    params, _ = ws.sgd_step(params, grads, velocity, cfg.base_lr, cfg.momentum,
+                            cfg.weight_decay, [True] * len(params), decayed)
     for x, y in zip(art.network.parameters(), params):
         assert np.array_equal(x, y)
     rec = art.records[0]
@@ -573,7 +573,7 @@ def test_checkpoint_nonfinite_weights_are_numeric_error(tmp_path, blob_run):
 def test_checkpoint_frozen_run_preserves_init(tmp_path, blobs_small):
     cfg = blob_config(freeze_final=True, final_init="semi_orthogonal", epochs=2)
     art = train(cfg, blobs_small)
-    fresh = ws.init_network(cfg.network_spec(), cfg.seed,
+    fresh = ws.init_network(ws.NetworkSpec(cfg.layer_dims), cfg.seed,
                             final_init="semi_orthogonal")
     assert np.array_equal(art.network.final_weight, fresh.final_weight)
 
@@ -631,6 +631,15 @@ def test_export_pca_round_trip(tmp_path):
     # labels survive
     got = [int(l.split(",")[3]) for l in lines[1:]]
     assert got == list(labels)
+
+
+def test_export_pca_needs_one_label_per_latent_row(tmp_path):
+    latents = np.random.default_rng(51).normal(size=(6, 4))
+    path = tmp_path / "cloud.csv"
+    for labels in (np.array([0, 1]), np.zeros((6, 1), dtype=int)):
+        with pytest.raises(ws.ShapeError, match="one label per latent row"):
+            ws.export_pca(latents, labels, path)
+    assert not path.exists()
 
 
 # --- experiments (smoke scale) ----------------------------------------

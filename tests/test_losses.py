@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightsep import (
-    CenterState,
     DataError,
     ShapeError,
     center_loss,
@@ -115,7 +114,7 @@ def test_non_integer_labels_are_rejected(labels):
     calls = (
         lambda: softmax_cross_entropy(np.zeros((2, 2)), labels),
         lambda: one_hot(labels, 2),
-        lambda: center_loss(np.zeros((2, 3)), labels, CenterState.zeros(2, 3)),
+        lambda: center_loss(np.zeros((2, 3)), labels, np.zeros((2, 3)), 0.5),
         lambda: reconstruction_loss(np.zeros((2, 3)), labels, np.zeros((3, 2))),
     )
     for call in calls:
@@ -147,17 +146,15 @@ def test_ce_finite_differences():
 
 def test_center_loss_zero_at_centers():
     centers = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = CenterState(centers=centers, update_rate=0.5)
     latent = centers[np.array([0, 1, 1])]
-    loss, grad, _ = center_loss(latent, np.array([0, 1, 1]), state)
+    loss, grad, _ = center_loss(latent, np.array([0, 1, 1]), centers, 0.5)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(latent))
 
 
 def test_center_loss_single_sample_hand_value():
-    state = CenterState.zeros(1, 2)
     latent = np.array([[1.0, 0.0]])
-    loss, grad, _ = center_loss(latent, np.array([0]), state)
+    loss, grad, _ = center_loss(latent, np.array([0]), np.zeros((1, 2)), 0.5)
     assert abs(loss - 0.5) < 1e-12
     assert np.max(np.abs(grad - np.array([[1.0, 0.0]]))) < 1e-12
 
@@ -167,8 +164,7 @@ def test_center_loss_matches_loop_oracle():
     latent = rng.normal(size=(7, 4))
     labels = rng.integers(0, 3, size=7)
     centers = rng.normal(size=(3, 4))
-    state = CenterState(centers=centers, update_rate=0.5)
-    loss, grad, _ = center_loss(latent, labels, state)
+    loss, grad, _ = center_loss(latent, labels, centers, 0.5)
 
     expect = 0.0
     for b in range(7):
@@ -181,24 +177,24 @@ def test_center_loss_matches_loop_oracle():
 
 
 def test_center_update_moves_toward_batch_mean():
-    state = CenterState(centers=np.zeros((2, 2)), update_rate=0.5)
+    centers = np.zeros((2, 2))
     latent = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 8.0]])
     labels = np.array([0, 0, 1])
-    _, _, updated = center_loss(latent, labels, state)
+    _, _, updated = center_loss(latent, labels, centers, 0.5)
     # class 0 mean is (3,0); rate 0.5 moves half way; class 1 mean is (0,8)
-    assert np.allclose(updated.centers[0], [1.5, 0.0])
-    assert np.allclose(updated.centers[1], [0.0, 4.0])
-    # original state untouched
-    assert np.array_equal(state.centers, np.zeros((2, 2)))
+    assert np.allclose(updated[0], [1.5, 0.0])
+    assert np.allclose(updated[1], [0.0, 4.0])
+    # original centers untouched
+    assert np.array_equal(centers, np.zeros((2, 2)))
 
 
-def per_class_loop_centers(latent, labels, state):
+def per_class_loop_centers(latent, labels, centers, rate):
     """Oracle: move each class present in the batch toward its batch mean,
     one class at a time."""
-    centers = state.centers.copy()
+    centers = centers.copy()
     for c in np.unique(labels):
         batch_mean = latent[labels == c].mean(axis=0)
-        centers[c] += state.update_rate * (batch_mean - centers[c])
+        centers[c] += rate * (batch_mean - centers[c])
     return centers
 
 
@@ -207,55 +203,55 @@ def test_center_update_matches_per_class_loop_bit_for_bit():
     # class 3 is absent and class 2 has a single sample
     labels = np.array([0, 1, 0, 4, 1, 2, 0, 4, 1, 0])
     latent = np.maximum(rng.normal(size=(10, 64)), 0.0)
-    state = CenterState(centers=rng.normal(size=(5, 64)), update_rate=0.5)
-    _, _, updated = center_loss(latent, labels, state)
-    assert np.array_equal(updated.centers,
-                          per_class_loop_centers(latent, labels, state))
-    assert np.array_equal(updated.centers[3], state.centers[3])
+    centers = rng.normal(size=(5, 64))
+    _, _, updated = center_loss(latent, labels, centers, 0.5)
+    assert np.array_equal(updated,
+                          per_class_loop_centers(latent, labels, centers, 0.5))
+    assert np.array_equal(updated[3], centers[3])
     assert np.array_equal(
-        updated.centers[2], state.centers[2] + 0.5 * (latent[5] - state.centers[2])
+        updated[2], centers[2] + 0.5 * (latent[5] - centers[2])
     )
     # narrow label types index the same rows
-    _, _, narrow = center_loss(latent, labels.astype(np.uint8), state)
-    assert np.array_equal(narrow.centers, updated.centers)
+    _, _, narrow = center_loss(latent, labels.astype(np.uint8), centers, 0.5)
+    assert np.array_equal(narrow, updated)
     # random batches at training-like sizes, widths 2 and up
     for _ in range(50):
         n, dim = rng.integers(2, 12), rng.integers(2, 65)
         b = rng.integers(1, 129)
         labels = rng.integers(0, n, size=b)
         latent = rng.normal(size=(b, dim)) * 10.0 ** rng.uniform(-3, 3)
-        state = CenterState(centers=rng.normal(size=(n, dim)),
-                            update_rate=rng.uniform(0.1, 0.9))
-        _, _, updated = center_loss(latent, labels, state)
-        assert np.array_equal(updated.centers,
-                              per_class_loop_centers(latent, labels, state))
+        centers = rng.normal(size=(n, dim))
+        rate = rng.uniform(0.1, 0.9)
+        _, _, updated = center_loss(latent, labels, centers, rate)
+        assert np.array_equal(
+            updated, per_class_loop_centers(latent, labels, centers, rate))
     # width 1: mean(axis=0) sums a column pairwise, so only the last bit
     # may differ from the loop
     labels = rng.integers(0, 3, size=128)
     latent = rng.normal(size=(128, 1))
-    state = CenterState(centers=rng.normal(size=(3, 1)), update_rate=0.5)
-    _, _, updated = center_loss(latent, labels, state)
-    assert np.allclose(updated.centers,
-                       per_class_loop_centers(latent, labels, state),
+    centers = rng.normal(size=(3, 1))
+    _, _, updated = center_loss(latent, labels, centers, 0.5)
+    assert np.allclose(updated,
+                       per_class_loop_centers(latent, labels, centers, 0.5),
                        rtol=0.0, atol=1e-13)
 
 
 def test_center_loss_label_checks():
-    state = CenterState.zeros(3, 2)
+    centers = np.zeros((3, 2))
     with pytest.raises(DataError):
-        center_loss(np.zeros((2, 2)), np.array([0, 3]), state)
+        center_loss(np.zeros((2, 2)), np.array([0, 3]), centers, 0.5)
     with pytest.raises(ShapeError):
-        center_loss(np.zeros((2, 2)), np.array([[0], [1]]), state)
+        center_loss(np.zeros((2, 2)), np.array([[0], [1]]), centers, 0.5)
 
 
 def test_center_loss_finite_differences():
     rng = np.random.default_rng(33)
     latent = rng.normal(size=(5, 3))
     labels = rng.integers(0, 2, size=5)
-    state = CenterState(centers=rng.normal(size=(2, 3)), update_rate=0.5)
-    _, grad, _ = center_loss(latent, labels, state)
+    centers = rng.normal(size=(2, 3))
+    _, grad, _ = center_loss(latent, labels, centers, 0.5)
     fd = central_difference_scalar(
-        lambda: center_loss(latent, labels, state)[0], latent
+        lambda: center_loss(latent, labels, centers, 0.5)[0], latent
     )
     assert rel_err(fd, grad) < 1e-4
 

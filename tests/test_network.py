@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import weightsep as ws
+from conftest import train_masks
 from weightsep import (
     ConfigError,
     Network,
@@ -304,11 +305,11 @@ def test_backward_all_seeds_match_finite_differences():
         net = tiny_net((6, 9, 5, 4), seed=trial)
         batch = rng.normal(size=(3, 6))
         labels = rng.integers(0, 4, size=3)
-        centers = ws.CenterState(centers=rng.normal(size=(4, 5)))
+        centers = rng.normal(size=(4, 5))
 
         tr = forward(net, batch)
         _, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
-        _, center_grad, _ = ws.center_loss(tr.latent, labels, centers)
+        _, center_grad, _ = ws.center_loss(tr.latent, labels, centers, 0.5)
         _, re_latent, re_w = ws.reconstruction_loss(
             tr.latent, labels, net.final_weight
         )
@@ -321,7 +322,7 @@ def test_backward_all_seeds_match_finite_differences():
         def loss():
             t = forward(live, batch)
             return (ws.softmax_cross_entropy(t.logits, labels)[0]
-                    + ws.center_loss(t.latent, labels, centers)[0]
+                    + ws.center_loss(t.latent, labels, centers, 0.5)[0]
                     + lam * ws.reconstruction_loss(
                         t.latent, labels, live.final_weight)[0])
 
@@ -393,9 +394,11 @@ def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
     grads = backward(net, trace, np.ones_like(trace.logits))
     assert [g.shape for g in grads] == shapes
 
-    assert ws.decay_mask(net) == [name.endswith(".weight") for name in names]
-    assert ws.freeze_mask(net, False) == [True] * len(names)
-    assert ws.freeze_mask(net, True) == [True] * (len(names) - 1) + [False]
+    trainable, decayed = train_masks(dims, freeze_final=False)
+    assert decayed == [name.endswith(".weight") for name in names]
+    assert trainable == [True] * len(names)
+    trainable, _ = train_masks(dims, freeze_final=True)
+    assert trainable == [True] * (len(names) - 1) + [False]
 
     params = net.parameters()
     with pytest.raises(ShapeError):
