@@ -46,7 +46,6 @@ from .harness import (
     write_run_artifact,
 )
 from .linalg import (
-    QrResult,
     frobenius_norm_sq,
     jacobi_eigh,
     pca_reduce,

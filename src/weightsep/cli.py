@@ -99,24 +99,14 @@ def _parse_int_list(text):
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
 
 
-def _slice_dataset(ds, index):
-    return Dataset(
-        features=ds.features[index],
-        labels=ds.labels[index],
-        n_classes=ds.n_classes,
-    )
-
-
 def _split_blobs(n_classes, dim, seed):
     total = SYNTH_TRAIN_PER_CLASS + SYNTH_TEST_PER_CLASS
     ds = synth_blobs(n_classes, total, dim, spread=0.08, seed=seed)
-    train_idx, test_idx = [], []
-    for c in range(n_classes):
-        block = np.flatnonzero(ds.labels == c)
-        train_idx.extend(block[:SYNTH_TRAIN_PER_CLASS])
-        test_idx.extend(block[SYNTH_TRAIN_PER_CLASS:])
-    return _slice_dataset(ds, np.array(train_idx)), _slice_dataset(
-        ds, np.array(test_idx)
+    rows = np.arange(len(ds)).reshape(n_classes, total)  # class-major
+    return tuple(
+        Dataset(ds.features[idx], ds.labels[idx], n_classes)
+        for idx in (rows[:, :SYNTH_TRAIN_PER_CLASS].ravel(),
+                    rows[:, SYNTH_TRAIN_PER_CLASS:].ravel())
     )
 
 

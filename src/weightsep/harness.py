@@ -453,12 +453,15 @@ def similarity_report(net, ds):
 
 def export_pca(latents, labels, path, k=3):
     """Reduce latents to ``k`` principal components and write a CSV with
-    columns pc1..pck,label, floats at full precision, whole or not at all."""
+    columns pc1..pck,label, floats at full precision, whole or not at all.
+    ``labels`` holds one integer per latent row."""
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != latents.shape[:1]:
         raise ShapeError(f"{labels.shape} labels for {latents.shape} latents; "
                          "need one label per latent row")
+    if labels.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     reduced = pca_reduce(latents, min(k, latents.shape[1]))
     buf = io.StringIO()
     writer = csv.writer(buf)

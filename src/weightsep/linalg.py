@@ -4,11 +4,9 @@ Matrices are plain 2-D ``numpy.ndarray`` of float64. The helpers here add the
 contract checks the rest of the package relies on (finite entries, explicit
 shape errors) on top of numpy's arithmetic. The QR decomposition is computed
 with Householder reflections and a fixed sign convention so results are
-unique and reproducible; the PCA eigensolver is a cyclic Jacobi iteration on
-the covariance matrix, applied a round of disjoint rotations at a time.
+unique and reproducible; PCA diagonalises the covariance matrix with LAPACK's
+symmetric eigensolver.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +14,6 @@ from .errors import NumericError, ShapeError, SingularMatrixError
 
 # Columns whose remaining norm falls below this are treated as rank-deficient.
 QR_PIVOT_TOL = 1e-12
-
-# Jacobi sweeps stop once the off-diagonal Frobenius norm is at most this
-# fraction of the matrix's Frobenius norm.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(a, name="matrix"):
@@ -49,24 +42,14 @@ def trace(m):
     return float(m.trace())
 
 
-@dataclass(frozen=True)
-class QrResult:
-    """Reduced QR factors: ``q`` (m x n, orthonormal columns) and ``r``
-    (n x n, upper triangular with non-negative diagonal)."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-    def __iter__(self):
-        return iter((self.q, self.r))
-
-
 def qr_decompose(w):
     """Reduced QR decomposition via Householder reflections.
 
-    Requires ``w.shape[0] >= w.shape[1]`` and numerically full column rank.
-    The diagonal of R is forced non-negative by flipping signs of the
-    corresponding Q columns, which makes the factorization unique.
+    Returns ``(q, r)``: q is m x n with orthonormal columns, r is n x n and
+    upper triangular. Requires ``w.shape[0] >= w.shape[1]`` and numerically
+    full column rank. The diagonal of R is forced non-negative by flipping
+    signs of the corresponding Q columns, which makes the factorization
+    unique.
     """
     w = as_matrix(w, "w")
     m, n = w.shape
@@ -103,7 +86,7 @@ def qr_decompose(w):
 
     # The sub-diagonal of R is zero by construction; drop the rounding dust.
     r = np.triu(r[:n, :] * flip[:, None])
-    return QrResult(q=q, r=r)
+    return q, r
 
 
 def semi_orthogonal_init(m, n, seed):
@@ -116,83 +99,27 @@ def semi_orthogonal_init(m, n, seed):
     from .rng import STREAM_INIT, generator
 
     rand = generator(seed, STREAM_INIT, m, n).uniform(-1.0, 1.0, size=(m, n))
-    return qr_decompose(rand).q
+    return qr_decompose(rand)[0]
 
 
-def _sweep_rounds(d):
-    """Order the index pairs ``p < q`` of a ``d``-dimensional sweep as rounds
-    of disjoint pairs (the round-robin circle method): every pair meets once
-    per sweep. Returns a list of ``(p, q)`` index arrays, one per round."""
-    slots = list(range(d + d % 2))  # an odd d adds slot d, which sits out
-    half = len(slots) // 2
-    rounds = []
-    for _ in range(len(slots) - 1):
-        pairs = sorted((min(a, b), max(a, b))
-                       for a, b in zip(slots[:half], slots[::-1][:half])
-                       if max(a, b) < d)
-        if pairs:
-            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
-        slots = [slots[0], slots[-1], *slots[1:-1]]
-    return rounds
-
-
-def jacobi_eigh(a, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(a):
+    """Eigendecomposition of a symmetric matrix by LAPACK's solver.
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue, with
-    eigenvectors in columns. Convergence is declared when the off-diagonal
-    Frobenius norm is at most ``tol`` times that of ``a`` (which rotations
-    keep), so the stop does not depend on the matrix's scale; a zero matrix
-    returns at once. A sweep rotates every index pair once,
-    in the rounds of :func:`_sweep_rounds`. The pairs of a round are disjoint,
-    so their rotations commute and are applied together as one orthogonal
-    matrix.
+    eigenvectors in columns. The name is kept for the benchmark under
+    ``perfbench/``, which traces and times the PCA eigensolver through this
+    binding until it times ``pca_reduce`` instead.
     """
     a = as_matrix(a, "a")
-    d = a.shape[0]
-    if a.shape[1] != d:
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"jacobi_eigh: matrix must be square, got {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10):
         raise ShapeError("jacobi_eigh: matrix must be symmetric")
-
-    a = (a + a.T) / 2.0
-    v = np.eye(d)
-    off_mask = ~np.eye(d, dtype=bool)
-    rounds = _sweep_rounds(d)
-    stop = tol * np.linalg.norm(a)
-    if not np.isfinite(stop):
-        raise NumericError("jacobi_eigh: the matrix's norm overflows")
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(a[off_mask] ** 2))
-        if off <= stop:
-            break
-        for p, q in rounds:
-            apq = a[p, q]
-            turn = np.abs(apq) > stop / (d * d + 1)
-            if not turn.any():
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * np.where(turn, apq, 1.0))
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[tau == 0] = 1.0
-            t[~turn] = 0.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(d)
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-    else:
-        raise NumericError(
-            f"jacobi_eigh: no convergence in {max_sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e})"
-        )
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
+    try:
+        vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"jacobi_eigh: {e}") from e
+    return vals[::-1], vecs[:, ::-1]
 
 
 def pca_reduce(x, k):

@@ -117,7 +117,7 @@ def init_network(spec, seed, final_init="uniform_scaled"):
         if k == last and final_init == "semi_orthogonal":
             from .linalg import qr_decompose
 
-            w = qr_decompose(rand.uniform(-1.0, 1.0, size=(n_in, n_out))).q
+            w = qr_decompose(rand.uniform(-1.0, 1.0, size=(n_in, n_out)))[0]
         elif k == last and final_init == "uniform_unit":
             w = rand.uniform(-1.0, 1.0, size=(n_in, n_out))
         else:

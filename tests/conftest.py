@@ -49,9 +49,10 @@ def trend_config(seed, use_reconstruction=True, **overrides):
 
 
 @pytest.fixture(scope="session")
-def trend_run(digits_train, digits_test):
-    """One full run of the trend recipe (seed 1, with reconstruction)."""
-    return ws.train(trend_config(1), digits_train, eval_ds=digits_test)
+def trend_run(paired_runs):
+    """One full run of the trend recipe (seed 1, with reconstruction): the
+    same config, data and eval set as its entry in ``paired_runs``."""
+    return paired_runs[(True, 1)]
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weightsep as ws
@@ -56,6 +57,20 @@ def test_training_step_goes_through_traced_bindings(blobs_small):
     assert {name: tracer.calls[name] for name in per_step} == \
         dict.fromkeys(per_step, steps)
     assert tracer.yields == steps
+
+
+def test_pca_export_goes_through_the_traced_eigensolver(tmp_path):
+    # The benchmark times PCA through the ``linalg.jacobi_eigh`` binding; a
+    # pca_reduce that called numpy's solver directly would move that time
+    # out of the traced calls unnoticed.
+    tracing = load_tracing()
+    latents = np.random.default_rng(0).normal(size=(20, 6))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        ws.harness.export_pca(latents, np.arange(20) % 3, tmp_path / "p.csv")
+    traced = ("harness.export_pca", "linalg.pca_reduce", "linalg.jacobi_eigh")
+    assert {name: tracer.calls[name] for name in traced} == \
+        dict.fromkeys(traced, 1)
 
 
 # digits_trend is left out: it trains the 30-epoch recipe (about 5 s).

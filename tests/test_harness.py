@@ -642,6 +642,17 @@ def test_export_pca_needs_one_label_per_latent_row(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("labels", [[0.7, 1.2, 2.0, -3.9],
+                                    [True, False, True, True]])
+def test_export_pca_needs_integer_labels(tmp_path, labels):
+    # int() would write these as 0, 1, 2, -3 and 1, 0, 1, 1
+    latents = np.random.default_rng(52).normal(size=(4, 3))
+    path = tmp_path / "cloud.csv"
+    with pytest.raises(ws.DataError, match="labels must be integers"):
+        ws.export_pca(latents, np.array(labels), path)
+    assert not path.exists()
+
+
 # --- experiments (smoke scale) ----------------------------------------
 
 
