@@ -4,8 +4,11 @@ loss-menu comparison, activation-vs-weight similarity).
 
 Every run is fully determined by its config: the seed drives parameter
 init, batch order, and any synthetic data, so identical configs replay
-bit-identically. The decision-column separability score is sampled at every
-step in both of its algebraic forms and the two are required to agree.
+bit-identically. The decision-column separability score is logged for every
+step in both of its algebraic forms and the two are required to agree. It is
+computed in one stacked pass at each epoch end, over the decision weights the
+epoch's steps produced, so the loop holds one epoch of those weights (steps x
+latent width x classes float64 values); a failing check still names its step.
 """
 
 import csv
@@ -36,15 +39,17 @@ from .rng import check_seed
 # The two single-form metrics are not called here; they stay importable
 # from this module for callers that look the metric names up on it.
 from .separability import (  # noqa: F401
+    error_matrix,
     format_epsilon,
     separability_metric,
     separability_metric_trace_form,
     separability_report,
+    stacked_epsilon,
 )
 
 LOSS_KINDS = ("softmax_ce", "softmax_ce_plus_center")
 
-# Both separability forms are evaluated at every step, from one error
+# Both separability forms are evaluated for every step, each from one error
 # matrix; they must agree to this tolerance or the run aborts.
 EPSILON_FORM_TOL = 1e-9
 
@@ -171,10 +176,9 @@ def evaluate_accuracy(net, ds):
     return float(np.mean(decide_classes(trace.logits) == ds.labels))
 
 
-def _sample_epsilon(w, step):
-    """Separability report of ``w``, with its two forms checked to agree."""
-    report = separability_report(w)
-    eps, eps_trace = report.epsilon, report.epsilon_trace
+def _check_forms(eps, eps_trace, step):
+    """Raise :class:`NumericError` naming ``step`` unless both separability
+    forms are finite and agree."""
     # Absolute tolerance at ordinary magnitudes, relative once a diverging
     # run pushes the metric far above 1 (roundoff alone exceeds 1e-9 there).
     # An infinite form gets an infinite tolerance, so finiteness is checked
@@ -186,7 +190,28 @@ def _sample_epsilon(w, step):
             f"separability forms not finite or disagree at step {step}: "
             f"{eps!r} vs {eps_trace!r}"
         )
+
+
+def _sample_epsilon(w, step):
+    """Separability report of ``w``, with its two forms checked to agree."""
+    report = separability_report(w)
+    _check_forms(report.epsilon, report.epsilon_trace, step)
     return report
+
+
+def _score_pending(pending, records):
+    """Empty ``pending`` into ``records``: each entry holds a step's
+    :class:`MetricRecord` fields but ε, then the decision weight that step
+    produced. All the weights are scored in one :func:`stacked_epsilon` pass,
+    and each step's forms are checked in step order."""
+    if not pending:
+        return
+    rows = pending.copy()
+    pending.clear()
+    eps, eps_trace = stacked_epsilon(np.stack([row[-1] for row in rows]))
+    for row, e, e_trace in zip(rows, eps.tolist(), eps_trace.tolist()):
+        _check_forms(e, e_trace, row[0])
+        records.append(MetricRecord(*row[:-1], epsilon=e))
 
 
 def train(config, ds, eval_ds=None):
@@ -194,9 +219,16 @@ def train(config, ds, eval_ds=None):
 
     Appends one :class:`MetricRecord` per step (batch loss parts, batch
     accuracy, decision-column separability) and, when ``eval_ds`` is given,
-    records its accuracy at each epoch end. A ``layer_dims`` that does not
-    fit ``ds`` raises :class:`ConfigError`; a loss that leaves the finite
-    range raises :class:`NumericError` with the step index.
+    records its accuracy at each epoch end. The separability of every step's
+    decision weight is computed in one pass at the epoch end, before the
+    eval, so the loop holds one epoch of decision weights until then.
+
+    A ``layer_dims`` that does not fit ``ds`` raises :class:`ConfigError`,
+    and a decision layer with more classes than latent units raises
+    :class:`OrientationError` before the first step. A loss that leaves the
+    finite range, or separability forms that are not finite or disagree,
+    raise :class:`NumericError` naming the failing step, whichever step
+    failed first.
     """
     dims = config.layer_dims
     if len(dims) < 2:
@@ -218,79 +250,80 @@ def train(config, ds, eval_ds=None):
     trainable = [True] * len(layout)
     if config.freeze_final:
         trainable[-1] = False
+    error_matrix(net.final_weight)  # OrientationError: more classes than units
 
     centers = None
     if config.loss == "softmax_ce_plus_center":
         centers = np.zeros((spec.n_classes, spec.latent_dim))
 
     records = []
+    # Steps awaiting ε at the epoch end: their record fields, then the
+    # decision weight each produced, uncopied (sgd_step never mutates one).
+    pending = []
     eval_accuracy = []
     step = 0
-    for epoch in range(config.epochs):
-        lr = optim.lr_at(config.base_lr, config.milestones, config.lr_factor,
-                         epoch)
-        for feats, labels in batches(ds, config.batch_size, config.seed, epoch):
-            trace = forward(net, feats)
-            logits = trace.logits
-            latent = trace.latent
+    try:
+        for epoch in range(config.epochs):
+            lr = optim.lr_at(config.base_lr, config.milestones, config.lr_factor,
+                             epoch)
+            for feats, labels in batches(ds, config.batch_size, config.seed, epoch):
+                trace = forward(net, feats)
+                logits = trace.logits
+                latent = trace.latent
 
-            cls_value, ce_grad = losses.softmax_cross_entropy(logits, labels)
-            latent_grad = None
-            if centers is not None:
-                c_value, latent_grad, centers = losses.center_loss(
-                    latent, labels, centers, config.center_rate
-                )
-                cls_value += c_value
+                cls_value, ce_grad = losses.softmax_cross_entropy(logits, labels)
+                latent_grad = None
+                if centers is not None:
+                    c_value, latent_grad, centers = losses.center_loss(
+                        latent, labels, centers, config.center_rate
+                    )
+                    cls_value += c_value
 
-            re_value = 0.0
-            w_grad = None
-            if config.use_reconstruction:
-                re_value, re_latent, re_w = losses.reconstruction_loss(
-                    latent, labels, net.final_weight
-                )
-                re_latent = config.lam * re_latent
-                latent_grad = (
-                    re_latent if latent_grad is None else latent_grad + re_latent
-                )
-                w_grad = config.lam * re_w
+                re_value = 0.0
+                w_grad = None
+                if config.use_reconstruction:
+                    re_value, re_latent, re_w = losses.reconstruction_loss(
+                        latent, labels, net.final_weight
+                    )
+                    re_latent = config.lam * re_latent
+                    latent_grad = (
+                        re_latent if latent_grad is None else latent_grad + re_latent
+                    )
+                    w_grad = config.lam * re_w
 
-            total = losses.total_loss(cls_value, re_value, config.lam)
-            if not math.isfinite(total):
-                last = records[-1] if records else None
-                raise NumericError(
-                    f"non-finite loss at step {step}; last finite record: {last}"
-                )
+                total = losses.total_loss(cls_value, re_value, config.lam)
+                if not math.isfinite(total):
+                    _score_pending(pending, records)
+                    last = records[-1] if records else None
+                    raise NumericError(
+                        f"non-finite loss at step {step}; last finite record: {last}"
+                    )
 
-            grads = backward(net, trace, ce_grad, latent_grad, w_grad)
-            params, velocity = optim.sgd_step(
-                params, grads, velocity, lr, config.momentum,
-                config.weight_decay, trainable, decayed
-            )
-            net = net.replace_parameters(params)
-            report = _sample_epsilon(net.final_weight, step)
-
-            batch_acc = (np.count_nonzero(decide_classes(logits) == labels)
-                         / len(labels))
-            records.append(
-                MetricRecord(
-                    step=step,
-                    epoch=epoch,
-                    loss_cls=cls_value,
-                    loss_re=re_value,
-                    loss_total=total,
-                    train_accuracy=batch_acc,
-                    epsilon=report.epsilon,
+                grads = backward(net, trace, ce_grad, latent_grad, w_grad)
+                params, velocity = optim.sgd_step(
+                    params, grads, velocity, lr, config.momentum,
+                    config.weight_decay, trainable, decayed
                 )
-            )
-            step += 1
-        if eval_ds is not None:
-            eval_accuracy.append(evaluate_accuracy(net, eval_ds))
+                net = net.replace_parameters(params)
+
+                batch_acc = (np.count_nonzero(decide_classes(logits) == labels)
+                             / len(labels))
+                pending.append((step, epoch, cls_value, re_value, total,
+                                batch_acc, net.final_weight))
+                step += 1
+            _score_pending(pending, records)
+            if eval_ds is not None:
+                eval_accuracy.append(evaluate_accuracy(net, eval_ds))
+    finally:
+        # A step that raised leaves the steps before it unscored; a bad form
+        # among them came first at that point, so it is the error raised.
+        _score_pending(pending, records)
 
     return RunArtifact(
         config=config,
         records=tuple(records),
         network=net,
-        report=report,  # of the final weight, sampled after the last step
+        report=_sample_epsilon(net.final_weight, step - 1),
         eval_accuracy=tuple(eval_accuracy),
     )
 
@@ -454,7 +487,7 @@ def similarity_report(net, ds):
 def export_pca(latents, labels, path, k=3):
     """Reduce latents to ``k`` principal components and write a CSV with
     columns pc1..pck,label, floats at full precision, whole or not at all.
-    ``labels`` holds one integer per latent row."""
+    ``labels`` holds one non-negative integer per latent row."""
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != latents.shape[:1]:
@@ -462,6 +495,8 @@ def export_pca(latents, labels, path, k=3):
                          "need one label per latent row")
     if labels.dtype.kind not in "iu":
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and labels.min() < 0:
+        raise DataError(f"labels must be non-negative, got {labels.min()}")
     reduced = pca_reduce(latents, min(k, latents.shape[1]))
     buf = io.StringIO()
     writer = csv.writer(buf)

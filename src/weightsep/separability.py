@@ -76,6 +76,27 @@ def separability_report(w):
     )
 
 
+def stacked_epsilon(ws):
+    """Both metric forms of every matrix in the C-contiguous stack ``ws``
+    (S x m x n, m >= n), as two float64 arrays of length S.
+
+    Each matrix gets the same bits :func:`separability_report` gives it alone:
+    the stacked matmul of ``ws`` with its own transpose runs the same
+    per-matrix kernel as ``w.T @ w``, and each sum runs over one matrix in
+    the same order. Nothing is checked here: a non-finite weight, or one
+    large enough to overflow, gives a non-finite form (without a numpy
+    warning) for the caller to reject.
+    """
+    n = ws.shape[2]
+    diagonal = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.matmul(ws.transpose(0, 2, 1), ws)
+        e[:, diagonal, diagonal] -= 1.0
+        eps = (e * e).sum(axis=(1, 2)) / n
+        eps_trace = np.matmul(e, e).trace(axis1=1, axis2=2) / n
+    return eps, eps_trace
+
+
 def format_epsilon(value):
     """Scientific notation with three significant digits, e.g. ``6.55e-08``."""
     return f"{value:.2e}"

@@ -599,6 +599,19 @@ def test_orientation_error_exits_2(tmp_path):
     assert "transpose" in err or "columns" in err
 
 
+def test_orientation_error_exits_2_for_more_classes_than_latent_units(
+        tmp_path):
+    # 4 latent units for the 10 blob classes.
+    rc, out, err = run_cli(
+        ["train", "--data", "blobs", "--layer-dims", "32,4,10",
+         "--epochs", "1", "--seed", "0", "--out", str(tmp_path / "r")]
+    )
+    assert rc == 2
+    assert err.startswith("error:orientation:")
+    assert out == ""
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_error_exits_4(tmp_path):
     rc, _, err = run_cli(

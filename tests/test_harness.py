@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 import zlib
 from dataclasses import asdict
@@ -262,6 +264,87 @@ def test_nonfinite_loss_aborts_with_step_index(blobs_small, monkeypatch):
         train(blob_config(epochs=1), blobs_small)
     assert "step 2" in str(err.value)  # steps count from 0
     assert "last finite record" in str(err.value)
+    last = re.search(r"last finite record: MetricRecord\(step=(\d+), .*"
+                     r"epsilon=([^)]*)\)", str(err.value))
+    assert last is not None and last.group(1) == "1"
+    assert math.isfinite(float(last.group(2)))
+
+
+@pytest.mark.parametrize("later_failure", ["loss", "gradient"])
+def test_bad_epsilon_form_is_named_before_a_later_failing_step(
+        blobs_small, monkeypatch, later_failure):
+    # Step 1 gets an infinite trace form and step 3 of the same epoch fails
+    # on its own; step 1 failed first, so its error is the one raised.
+    stacked, total_loss, backward = (harness.stacked_epsilon,
+                                     harness.losses.total_loss,
+                                     harness.backward)
+    calls = {"n": 0}
+
+    def bad_step_1(ws_):
+        eps, eps_trace = stacked(ws_)
+        eps_trace[1] = np.inf  # the first epoch's stack starts at step 0
+        return eps, eps_trace
+
+    def nan_loss_at_step_3(*args):
+        calls["n"] += 1
+        return float("nan") if calls["n"] == 4 else total_loss(*args)
+
+    def nan_gradient_at_step_3(*args):
+        calls["n"] += 1
+        grads = backward(*args)
+        return [g * np.nan for g in grads] if calls["n"] == 4 else grads
+
+    monkeypatch.setattr(harness, "stacked_epsilon", bad_step_1)
+    if later_failure == "loss":
+        monkeypatch.setattr(harness.losses, "total_loss", nan_loss_at_step_3)
+    else:
+        monkeypatch.setattr(harness, "backward", nan_gradient_at_step_3)
+    with pytest.raises(ws.NumericError,
+                       match=r"forms not finite or disagree at step 1: "):
+        train(blob_config(epochs=1), blobs_small)
+    assert calls["n"] == 4
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(batch_size=7, epochs=3),  # 120 samples: a ragged last batch of 1
+    dict(freeze_final=True, final_init="semi_orthogonal", epochs=2),
+    dict(freeze_final=True, final_init="uniform_unit", epochs=2),
+    dict(layer_dims=(8, 12, 16, 3), epochs=3, loss="softmax_ce_plus_center",
+         use_reconstruction=True),
+], ids=["ragged", "frozen-semi-orthogonal", "frozen-uniform-unit",
+        "two-hidden-layers"])
+def test_logged_epsilon_is_the_report_of_each_steps_weight(
+        blobs_small, monkeypatch, overrides):
+    # ε is computed at each epoch end from the weights the steps produced;
+    # each must read as the checked report of that step's weight would.
+    weights = []
+    sgd_step = harness.optim.sgd_step
+
+    def recording(*args):
+        params, velocity = sgd_step(*args)
+        weights.append(params[-1].copy())
+        return params, velocity
+
+    monkeypatch.setattr(harness.optim, "sgd_step", recording)
+    art = train(blob_config(**overrides), blobs_small)
+    assert len(weights) == len(art.records)
+    assert [r.epsilon for r in art.records] == \
+        [ws.separability_report(w).epsilon for w in weights]
+    assert art.report.epsilon == art.records[-1].epsilon
+
+
+def test_wide_decision_layer_fails_before_training(monkeypatch):
+    # 4 latent units for 10 classes: the decision matrix is wider than tall.
+    ds = ws.synth_blobs(n_classes=10, per_class=20, dim=32, spread=0.05,
+                        seed=3)
+    calls = []
+    sgd_step = harness.optim.sgd_step
+    monkeypatch.setattr(harness.optim, "sgd_step",
+                        lambda *args: calls.append(1) or sgd_step(*args))
+    with pytest.raises(ws.OrientationError, match="more columns than rows"):
+        train(TrainConfig(layer_dims=(32, 4, 10), epochs=3, seed=0,
+                          batch_size=32), ds)
+    assert len(calls) <= 1
 
 
 def test_epsilon_sample_rejects_overflowing_forms():
@@ -650,6 +733,15 @@ def test_export_pca_needs_integer_labels(tmp_path, labels):
     path = tmp_path / "cloud.csv"
     with pytest.raises(ws.DataError, match="labels must be integers"):
         ws.export_pca(latents, np.array(labels), path)
+    assert not path.exists()
+
+
+def test_export_pca_rejects_negative_labels(tmp_path):
+    # No Dataset holds a negative label; this one was written as a -3 row.
+    latents = np.random.default_rng(53).normal(size=(4, 3))
+    path = tmp_path / "cloud.csv"
+    with pytest.raises(ws.DataError, match="non-negative"):
+        ws.export_pca(latents, np.array([-3, 1, 2, 0]), path)
     assert not path.exists()
 
 

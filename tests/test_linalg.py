@@ -94,25 +94,20 @@ def test_semi_orthogonal_init_deterministic():
 # --- eigensolver / PCA ------------------------------------------------
 
 
-def test_jacobi_matches_library_eigensolver():
-    """Eigenvalues and (sign-fixed) eigenvectors against np.linalg.eigh."""
+def test_jacobi_returns_descending_orthonormal_eigenpairs():
+    """Each pair solves the eigen-equation, the eigenvectors are orthonormal
+    and the eigenvalues descend, checked without a second solver."""
     rng = np.random.default_rng(4)
     for _ in range(30):
         d = int(rng.integers(2, 12))
         a = rng.normal(size=(d, d))
         sym = (a + a.T) / 2
         vals, vecs = jacobi_eigh(sym)
-        ref_vals, ref_vecs = np.linalg.eigh(sym)
-        # jacobi_eigh sorts descending
-        assert np.max(np.abs(vals - ref_vals[::-1])) < 1e-9
-        for k in range(d):
-            v = vecs[:, k]
-            r = ref_vecs[:, d - 1 - k]
-            if np.dot(v, r) < 0:
-                r = -r
-            assert np.max(np.abs(v - r)) < 1e-7
-        # residual of the eigen-equation
-        assert np.max(np.abs(sym @ vecs - vecs * vals)) < 1e-9
+        assert vals.shape == (d,) and vecs.shape == (d, d)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(sym @ vecs - vecs * vals)) <= 1e-10 * scale
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(d))) < 1e-10
+        assert np.all(np.diff(vals) <= 0)
 
 
 def test_jacobi_requires_symmetric():

@@ -16,6 +16,7 @@ from weightsep import (
     separability_report,
     trace,
 )
+from weightsep.separability import stacked_epsilon
 
 
 def gram_expansion_oracle(w):
@@ -177,6 +178,37 @@ def test_report_bit_equal_to_linalg_oracle():
                 assert np.array_equal(rep.error_matrix, e)
                 assert rep.epsilon == eps
                 assert rep.epsilon_trace == eps_trace
+    assert finite and infinite and raised
+
+
+def test_stacked_epsilon_bit_equal_to_report():
+    # The training harness scores an epoch of decision weights as one
+    # C-contiguous stack. Each matrix must get the forms of its own report,
+    # bit for bit, and a non-finite form wherever its report raises.
+    rng = np.random.default_rng(13)
+    finite = infinite = raised = 0
+    for exponent in (-150, -100, -40, -8, 0, 8, 40, 76, 77, 100, 150):
+        for n in range(1, 11):
+            m = n + int(rng.integers(0, 6))
+            scale = 10.0 ** exponent * rng.uniform(0.5, 2.0)
+            stack = np.stack([rng.normal(size=(m, n)) * scale
+                              for _ in range(3)]
+                             + [np.eye(m, n) * 10.0 ** exponent])
+            eps, eps_trace = stacked_epsilon(stack)
+            for w, e, e_trace in zip(stack, eps, eps_trace):
+                try:
+                    with np.errstate(over="ignore"):
+                        rep = separability_report(w)
+                except NumericError:
+                    raised += 1
+                    assert not (math.isfinite(e) and math.isfinite(e_trace))
+                    continue
+                if math.isfinite(e) and math.isfinite(e_trace):
+                    finite += 1
+                else:
+                    infinite += 1
+                assert e == rep.epsilon
+                assert e_trace == rep.epsilon_trace
     assert finite and infinite and raised
 
 
