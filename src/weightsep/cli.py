@@ -116,7 +116,8 @@ def resolve_datasets(source, classes, seed):
     source = source or os.environ.get(DATA_DIR_ENV) or "digits"
     if source == "digits":
         train = synth_digits(SYNTH_TRAIN_PER_CLASS, seed)
-        test = synth_digits(SYNTH_TEST_PER_CLASS, seed + 1_000_003)
+        # Wrapped to 64 bits, as the stream keys always were.
+        test = synth_digits(SYNTH_TEST_PER_CLASS, (seed + 1_000_003) % 2**64)
     elif source == "blobs":
         train, test = _split_blobs(n_classes=10, dim=32, seed=seed)
     else:

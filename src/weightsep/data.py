@@ -41,9 +41,11 @@ class Dataset:
             )
         if l.dtype.kind not in "iu":
             raise DataError(f"labels must be integers, got dtype {l.dtype}")
-        if not np.all(np.isfinite(f)):
-            raise NumericError("features contain non-finite values")
-        if f.size and (f.min() < 0.0 or f.max() > 1.0):
+        # NaN fails both comparisons, so the finiteness pass runs only to
+        # name the error of a set already out of range.
+        if f.size and not (f.min() >= 0.0 and f.max() <= 1.0):
+            if not np.isfinite(f).all():
+                raise NumericError("features contain non-finite values")
             raise DataError("features must lie in [0, 1]")
         if l.size and (l.min() < 0 or l.max() >= self.n_classes):
             raise DataError(
@@ -168,13 +170,23 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
+def _is_int(x):
+    """A Python or numpy integer; bools are not counts, classes or seeds."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_counts(**counts):
+    for name, value in counts.items():
+        if not _is_int(value) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 def filter_classes(ds, keep):
     """Keep only samples of the listed classes, relabelled 0..k-1 in the
     order given. ``keep`` lists Python or numpy integers; a bool or any
     other entry raises :class:`DataError`."""
     keep = list(keep)
-    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
-           for c in keep):
+    if not all(map(_is_int, keep)):
         raise DataError(f"classes to keep must be integers, got {keep}")
     keep = [int(c) for c in keep]
     if not keep:
@@ -199,8 +211,7 @@ def filter_classes(ds, keep):
 def synth_blobs(n_classes, per_class, dim, spread, seed):
     """Gaussian blob classes: one seeded random center per class, isotropic
     noise of scale ``spread``, samples clipped to [0, 1]. Deterministic."""
-    if n_classes < 1 or per_class < 1 or dim < 1:
-        raise ConfigError("n_classes, per_class, and dim must be positive")
+    _check_counts(n_classes=n_classes, per_class=per_class, dim=dim)
     rand = generator(seed, STREAM_DATA, n_classes, per_class, dim)
     centers = rand.uniform(0.0, 1.0, size=(n_classes, dim))
     features = np.empty((n_classes * per_class, dim))
@@ -232,6 +243,7 @@ _GLYPHS = {
 }
 
 DIGIT_SIDE = 28
+CANVAS_PIXELS = DIGIT_SIDE * DIGIT_SIDE
 
 
 def _scaled_glyph(rows):
@@ -246,23 +258,16 @@ def _scaled_glyph(rows):
 _SCALED_GLYPHS = tuple(_scaled_glyph(_GLYPHS[d]) for d in range(10))
 
 
-def _render_digit(digit, rand):
-    scaled = _SCALED_GLYPHS[digit]
-    canvas = np.zeros((DIGIT_SIDE, DIGIT_SIDE))
-    top = 3 + rand.integers(-3, 4)
-    left = 6 + rand.integers(-3, 4)
-    level = rand.integers(150, 256)
-    body = scaled * np.clip(
-        level - rand.integers(0, 60, size=scaled.shape), 0, 255
-    )
-    canvas[top : top + 21, left : left + 15] = body
-    speckle = rand.random((DIGIT_SIDE, DIGIT_SIDE)) < 0.08
-    canvas = np.where(
-        speckle & (canvas == 0),
-        rand.integers(0, 64, size=canvas.shape),
-        canvas,
-    )
-    return canvas.reshape(-1) / 255.0
+# The most samples of one digit synth_digits renders together: bounds its
+# buffers at any ``per_class``.
+RENDER_BLOCK_ROWS = 256
+
+_GLYPH_SHAPE = _SCALED_GLYPHS[0].shape
+# Flat canvas index of each glyph pixel when the glyph sits at (0, 0).
+_GLYPH_OFFSETS = (
+    DIGIT_SIDE * np.arange(_GLYPH_SHAPE[0])[:, None]
+    + np.arange(_GLYPH_SHAPE[1])
+).reshape(-1)
 
 
 def synth_digits(per_class, seed):
@@ -271,21 +276,52 @@ def synth_digits(per_class, seed):
     Glyphs are placed with +-3 pixel jitter, per-pixel intensity variation,
     and background speckle, giving a learnable but non-trivial image task
     whose bytes survive an IDX round trip exactly.
+
+    Stream contract: sample ``j`` of ``digit`` draws only from its own
+    ``generator(seed, STREAM_DATA, digit, j)``, in this order: the row
+    jitter, the column jitter and the ink level (three scalars), the 21 x 15
+    stroke variation, the 28 x 28 speckle uniforms and the 28 x 28 speckle
+    intensities. Samples are rendered in blocks of at most
+    ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a few
+    MB at any ``per_class``.
     """
-    if per_class < 1:
-        raise ConfigError("per_class must be positive")
-    features = np.empty((10 * per_class, DIGIT_SIDE * DIGIT_SIDE))
-    labels = np.empty(10 * per_class, dtype=np.int64)
-    i = 0
+    _check_counts(per_class=per_class)
+    features = np.zeros((10 * per_class, CANVAS_PIXELS))
+    block = min(per_class, RENDER_BLOCK_ROWS)
+    jitter = np.empty((block, 3), dtype=np.int64)  # top, left, level
+    strokes = np.empty((block, *_GLYPH_SHAPE), dtype=np.int64)
+    uniforms = np.empty((block, CANVAS_PIXELS))
+    intensities = np.empty((block, CANVAS_PIXELS), dtype=np.int64)
     for digit in range(10):
-        for j in range(per_class):
-            rand = generator(seed, STREAM_DATA, digit, j)
-            features[i] = _render_digit(digit, rand)
-            labels[i] = digit
-            i += 1
+        for start in range(0, per_class, block):
+            n = min(block, per_class - start)
+            # The seeded draws, one generator per sample, in stream order.
+            for b in range(n):
+                rand = generator(seed, STREAM_DATA, digit, start + b)
+                jitter[b, 0] = rand.integers(-3, 4)
+                jitter[b, 1] = rand.integers(-3, 4)
+                jitter[b, 2] = rand.integers(150, 256)
+                strokes[b] = rand.integers(0, 60, size=_GLYPH_SHAPE)
+                rand.random(out=uniforms[b])
+                intensities[b] = rand.integers(0, 64, size=CANVAS_PIXELS)
+            # The rest has no draw in it and runs over the whole block.
+            s = strokes[:n]
+            np.subtract(jitter[:n, 2, None, None], s, out=s)
+            np.clip(s, 0, 255, out=s)
+            body = _SCALED_GLYPHS[digit] * s
+            first = digit * per_class + start
+            canvas = features[first:first + n]
+            corner = (np.arange(n) * CANVAS_PIXELS
+                      + DIGIT_SIDE * (3 + jitter[:n, 0]) + 6 + jitter[:n, 1])
+            canvas.reshape(-1)[corner[:, None] + _GLYPH_OFFSETS] = (
+                body.reshape(n, -1))
+            speckle = uniforms[:n] < 0.08
+            speckle &= canvas == 0
+            np.copyto(canvas, intensities[:n], where=speckle)
+            np.divide(canvas, 255.0, out=canvas)
     return Dataset(
         features=features,
-        labels=labels,
+        labels=np.repeat(np.arange(10, dtype=np.int64), per_class),
         n_classes=10,
     )
 

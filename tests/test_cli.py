@@ -457,6 +457,16 @@ def test_loss_compare_draws_the_data_with_the_first_seed():
     assert out.splitlines()[1:] == rows
 
 
+def test_digits_test_split_seed_wraps_to_64_bits(monkeypatch):
+    # The largest seed is valid; its test split replays seed 1_000_002, as it
+    # did when the streams masked every key to 64 bits.
+    seeds = []
+    monkeypatch.setattr(cli, "synth_digits",
+                        lambda per_class, seed: seeds.append(seed))
+    cli.resolve_datasets("digits", (), 2**64 - 1)
+    assert seeds == [2**64 - 1, 1_000_002]
+
+
 def test_experiment_subcommands_demand_seeds(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frozen-linearity", "--data", "blobs"])

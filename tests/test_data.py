@@ -14,6 +14,7 @@ from weightsep import (
     DataError,
     Dataset,
     FormatError,
+    NumericError,
     WeightsepError,
     batches,
     filter_classes,
@@ -23,6 +24,8 @@ from weightsep import (
     synth_digits,
     write_idx,
 )
+from weightsep.data import _SCALED_GLYPHS, CANVAS_PIXELS, DIGIT_SIDE
+from weightsep.rng import STREAM_DATA, check_seed, generator
 
 
 def author_idx_pair(tmp_path, pixels, labels, rows, cols, stem="a"):
@@ -195,6 +198,18 @@ def test_dataset_validation():
         Dataset(feats + 2.0, np.array([0, 1, 2]), 3)
 
 
+@pytest.mark.parametrize("bad, error", [
+    (np.nan, NumericError), (np.inf, NumericError), (-np.inf, NumericError),
+    (-0.1, DataError), (1.5, DataError),
+], ids=["nan", "inf", "-inf", "below", "above"])
+def test_dataset_names_the_error_of_a_bad_feature(bad, error):
+    feats = np.full((3, 4), 0.5)
+    feats[1, 2] = bad
+    with pytest.raises(error) as err:
+        Dataset(feats, np.array([0, 1, 2]), 3)
+    assert type(err.value) is error
+
+
 @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 0.0, 1.0]),
                                     np.array([False, True, False, True])],
                          ids=["float", "bool"])
@@ -305,6 +320,112 @@ def test_digits_bytes_are_pinned():
         "5829fc568daf40daa775de41034ad43db8fa8ae0ed8a5b67ebbe1aa874467eb8")
     assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
         "96c8c1fb23425f25e947b5a6706bf75d0779bc56c2f952ba7397350fc1e1f111")
+    # Recorded with the per-sample renderer; 300 rows of a digit cross the
+    # first render-block boundary.
+    ds = synth_digits(per_class=300, seed=5)
+    assert hashlib.sha256(ds.features.tobytes()).hexdigest() == (
+        "66d416313e7285cd00882bc505b8840a99ded4e8cf2ccd2e837b87ee89d74aed")
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+        "10ec2f774651d4417a800af7cd0c932985a4ba69d04230047d3c28435bf20d18")
+
+
+def render_digit(digit, rand):
+    """One sample, drawn and drawn on one at a time: the oracle for the
+    block renderer."""
+    scaled = _SCALED_GLYPHS[digit]
+    canvas = np.zeros((DIGIT_SIDE, DIGIT_SIDE))
+    top = 3 + rand.integers(-3, 4)
+    left = 6 + rand.integers(-3, 4)
+    level = rand.integers(150, 256)
+    body = scaled * np.clip(
+        level - rand.integers(0, 60, size=scaled.shape), 0, 255
+    )
+    canvas[top : top + 21, left : left + 15] = body
+    speckle = rand.random((DIGIT_SIDE, DIGIT_SIDE)) < 0.08
+    canvas = np.where(
+        speckle & (canvas == 0),
+        rand.integers(0, 64, size=canvas.shape),
+        canvas,
+    )
+    return canvas.reshape(-1) / 255.0
+
+
+@pytest.mark.parametrize("per_class, seed", [
+    (1, 0), (1, 2**64 - 1), (3, 5), (3, 12), (255, 1), (256, 2), (257, 3),
+    (300, 2**64 - 1),
+])
+def test_digits_equal_the_per_sample_renderer(per_class, seed):
+    ds = synth_digits(per_class, seed)
+    for digit in range(10):
+        rows = ds.features[digit * per_class:(digit + 1) * per_class]
+        want = np.stack([
+            render_digit(digit, generator(seed, STREAM_DATA, digit, j))
+            for j in range(per_class)])
+        assert rows.tobytes() == want.tobytes(), digit
+    assert np.array_equal(ds.labels, np.repeat(np.arange(10), per_class))
+
+
+def test_digits_hold_at_most_one_render_block_besides_the_features():
+    import tracemalloc
+
+    # A block row holds the stroke variation (int64, float64 and its canvas
+    # index), the speckle uniforms and intensities and two masks: about 3.5
+    # float64 canvases. The bound allows 256 such rows; a renderer that drew
+    # a whole digit at once would hold 600.
+    row_bytes = 4 * 8 * CANVAS_PIXELS
+    tracemalloc.start()
+    try:
+        ds = synth_digits(per_class=600, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ds.features.nbytes < 256 * row_bytes
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2.5, 2.0, True, np.bool_(False),
+                                 "3", None],
+                         ids=["-1", "2**64", "2.5", "2.0", "True",
+                              "numpy-bool", "str", "None"])
+def test_every_seeded_stream_rejects_a_seed_it_would_alias(bad):
+    ds = synth_blobs(2, 3, 3, 0.1, seed=1)
+    calls = (lambda: synth_digits(1, bad),
+             lambda: synth_blobs(2, 3, 3, 0.1, seed=bad),
+             lambda: list(batches(ds, 4, bad, 0)),
+             lambda: check_seed(bad))
+    for call in calls:
+        with pytest.raises(ConfigError, match="seed must be"):
+            call()
+
+
+@pytest.mark.parametrize("key", [
+    (0,), (0, 0), (5, 2, 9, 300), (2**32 - 1, 2**32, 2**32 + 1),
+    (2**64 - 1, 3, 2**40 + 7), (7, 3, -1), (np.int64(4), np.uint8(2), 1),
+])
+def test_generator_streams_equal_seed_sequences_of_the_masked_ints(key):
+    words = [int(k) & (2**64 - 1) for k in key]
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    assert np.array_equal(generator(*key).integers(0, 2**63, size=16),
+                          want.integers(0, 2**63, size=16))
+
+
+def test_seeds_may_be_numpy_integers():
+    for seed in (np.int64(7), np.uint64(2**64 - 1), np.uint8(7)):
+        assert check_seed(seed) is seed
+    assert np.array_equal(synth_digits(1, np.uint8(7)).features,
+                          synth_digits(1, 7).features)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0), "3", 0, -1],
+                         ids=["2.5", "2.0", "True", "numpy-float", "str", "0",
+                              "-1"])
+def test_synthetic_counts_must_be_positive_integers(bad):
+    calls = (lambda: synth_digits(bad, 1),
+             lambda: synth_blobs(bad, 3, 3, 0.1, seed=1),
+             lambda: synth_blobs(2, bad, 3, 0.1, seed=1),
+             lambda: synth_blobs(2, 3, bad, 0.1, seed=1))
+    for call in calls:
+        with pytest.raises(ConfigError, match="must be a positive integer"):
+            call()
 
 
 # --- batching ---------------------------------------------------------
