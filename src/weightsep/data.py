@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .rng import STREAM_BATCH, STREAM_DATA, generator
+from .losses import _check_labels
+from .rng import STREAM_BATCH, STREAM_DATA, _is_int, generator
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -39,19 +40,13 @@ class Dataset:
             raise DataError(
                 f"label count {l.shape} != sample count {f.shape[0]}"
             )
-        if l.dtype.kind not in "iu":
-            raise DataError(f"labels must be integers, got dtype {l.dtype}")
+        _check_labels(l, self.n_classes)
         # NaN fails both comparisons, so the finiteness pass runs only to
         # name the error of a set already out of range.
         if f.size and not (f.min() >= 0.0 and f.max() <= 1.0):
             if not np.isfinite(f).all():
                 raise NumericError("features contain non-finite values")
             raise DataError("features must lie in [0, 1]")
-        if l.size and (l.min() < 0 or l.max() >= self.n_classes):
-            raise DataError(
-                f"labels must lie in [0, {self.n_classes}), got "
-                f"[{l.min()}, {l.max()}]"
-            )
 
     def __len__(self):
         return self.features.shape[0]
@@ -131,7 +126,7 @@ def read_idx(images_path, labels_path):
             f"image/label count mismatch: {images_path} has {n_images}, "
             f"{labels_path} has {n_labels}"
         )
-    features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    features = np.divide(pixels.reshape(n_images, rows * cols), 255.0)
     labels = raw_labels.astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(
@@ -168,11 +163,6 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         f.write(ds.labels.astype(np.uint8).tobytes())
-
-
-def _is_int(x):
-    """A Python or numpy integer; bools are not counts, classes or seeds."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_counts(**counts):

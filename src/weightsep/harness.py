@@ -30,6 +30,7 @@ from .network import (
     FINAL_INITS,
     Network,
     NetworkSpec,
+    _is_python_int,
     backward,
     decide_classes,
     forward,
@@ -54,18 +55,14 @@ LOSS_KINDS = ("softmax_ce", "softmax_ce_plus_center")
 EPSILON_FORM_TOL = 1e-9
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What a value must be for each TrainConfig field type, and a test for it.
 # bool subclasses int, so the integer test excludes it.
 _FIELD_CHECKS = {
     tuple: ("a list of integers",
-            lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    int: ("an integer", _is_int),
-    float: ("a finite number",
-            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_python_int, v))),
+    int: ("an integer", _is_python_int),
+    float: ("a finite number", lambda v: _is_python_int(v)
+            or (isinstance(v, float) and math.isfinite(v))),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
 }

@@ -2,17 +2,18 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64. The helpers here add the
 contract checks the rest of the package relies on (finite entries, explicit
-shape errors) on top of numpy's arithmetic. The QR decomposition is computed
-with Householder reflections and a fixed sign convention so results are
-unique and reproducible; PCA diagonalises the covariance matrix with LAPACK's
-symmetric eigensolver.
+shape errors) on top of numpy's arithmetic. QR is LAPACK's Householder
+factorisation with a fixed sign convention, so results are unique and
+reproducible; PCA diagonalises the covariance matrix with LAPACK's symmetric
+eigensolver.
 """
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, SingularMatrixError
+from .rng import STREAM_INIT, generator
 
-# Columns whose remaining norm falls below this are treated as rank-deficient.
+# Columns whose |R_kk| falls below this are treated as rank-deficient.
 QR_PIVOT_TOL = 1e-12
 
 
@@ -43,7 +44,7 @@ def trace(m):
 
 
 def qr_decompose(w):
-    """Reduced QR decomposition via Householder reflections.
+    """Reduced QR decomposition by LAPACK's Householder factorisation.
 
     Returns ``(q, r)``: q is m x n with orthonormal columns, r is n x n and
     upper triangular. Requires ``w.shape[0] >= w.shape[1]`` and numerically
@@ -52,41 +53,23 @@ def qr_decompose(w):
     unique.
     """
     w = as_matrix(w, "w")
-    m, n = w.shape
-    if m < n:
+    if w.shape[0] < w.shape[1]:
         raise ShapeError(f"qr_decompose: need rows >= cols, got {w.shape}")
-
-    r = w.copy()
-    reflectors = []
-    for k in range(n):
-        x = r[k:, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x < QR_PIVOT_TOL:
-            raise SingularMatrixError(
-                f"qr_decompose: column {k} is numerically dependent "
-                f"(pivot {norm_x:.3e} < {QR_PIVOT_TOL:.0e})"
-            )
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0]) if x[0] != 0 else norm_x
-        v /= np.linalg.norm(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        reflectors.append(v)
-
-    # Accumulate Q by applying the reflectors to the leading columns of I.
-    q = np.eye(m, n)
-    for k in range(n - 1, -1, -1):
-        v = reflectors[k]
-        q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
+    q, r = np.linalg.qr(w)
+    diag = np.diag(r)
+    dependent = np.flatnonzero(np.abs(diag) < QR_PIVOT_TOL)
+    if dependent.size:
+        k = dependent[0]
+        raise SingularMatrixError(
+            f"qr_decompose: column {k} is numerically dependent "
+            f"(pivot {abs(diag[k]):.3e} < {QR_PIVOT_TOL:.0e})"
+        )
 
     # Sign convention: non-negative R diagonal. Flipping column k of Q and
     # row k of R together preserves the product.
-    flip = np.sign(np.diag(r))
-    flip[flip == 0] = 1.0
+    flip = np.sign(diag)
     q *= flip
-
-    # The sub-diagonal of R is zero by construction; drop the rounding dust.
-    r = np.triu(r[:n, :] * flip[:, None])
-    return q, r
+    return q, np.triu(r * flip[:, None])
 
 
 def semi_orthogonal_init(m, n, seed):
@@ -96,8 +79,6 @@ def semi_orthogonal_init(m, n, seed):
     """
     if m < n:
         raise ShapeError(f"semi_orthogonal_init: need m >= n, got m={m}, n={n}")
-    from .rng import STREAM_INIT, generator
-
     rand = generator(seed, STREAM_INIT, m, n).uniform(-1.0, 1.0, size=(m, n))
     return qr_decompose(rand)[0]
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .linalg import qr_decompose
 from .rng import STREAM_INIT, generator
 
 # Final-layer initialization styles. "uniform_scaled" is the default
@@ -20,8 +21,9 @@ from .rng import STREAM_INIT, generator
 FINAL_INITS = ("uniform_scaled", "semi_orthogonal", "uniform_unit")
 
 
-def _is_width(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_python_int(value):
+    """A Python int, not a bool: the integers of widths and config values."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         dims = tuple(self.dims)
-        if len(dims) < 2 or not all(map(_is_width, dims)):
+        if len(dims) < 2 or not all(_is_python_int(d) and d >= 1 for d in dims):
             raise ConfigError(
                 f"network needs two or more positive integer widths, got {dims}"
             )
@@ -115,8 +117,6 @@ def init_network(spec, seed, final_init="uniform_scaled"):
     for k, (n_in, n_out) in enumerate(zip(spec.dims, spec.dims[1:])):
         rand = generator(seed, STREAM_INIT, k)
         if k == last and final_init == "semi_orthogonal":
-            from .linalg import qr_decompose
-
             w = qr_decompose(rand.uniform(-1.0, 1.0, size=(n_in, n_out)))[0]
         elif k == last and final_init == "uniform_unit":
             w = rand.uniform(-1.0, 1.0, size=(n_in, n_out))

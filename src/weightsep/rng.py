@@ -19,12 +19,17 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
+def _is_int(x):
+    """A Python or numpy integer; bools are not counts, classes or seeds."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_seed(seed):
     """``seed`` if it is a Python or numpy integer in [0, 2**64), else a
     :class:`ConfigError`. Every key is masked to 64 bits, so a negative or
     larger seed would replay another one, and ``int()`` would quietly turn a
     float or a bool into one."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")

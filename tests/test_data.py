@@ -52,6 +52,10 @@ def test_hand_authored_pair_decodes_exactly(tmp_path):
     assert np.array_equal(ds.features, expect)
     assert ds.features[1, 1] == 1.0  # byte 255 maps to exactly 1.0
     assert ds.n_classes == 4
+    # Every byte value decodes to exactly byte / 255.
+    img, lab = author_idx_pair(tmp_path, range(256), [0], rows=16, cols=16,
+                               stem="all-bytes")
+    assert np.array_equal(read_idx(img, lab).features[0], np.arange(256) / 255.0)
 
 
 def test_wrong_magic_reports_expected_and_found(tmp_path):

@@ -71,11 +71,24 @@ def test_qr_wide_matrix_rejected():
         qr_decompose(np.ones((3, 5)))
 
 
-def test_qr_rank_deficient_names_column():
-    w = np.ones((4, 3))  # three identical columns
+@pytest.mark.parametrize("w, column", [
+    (np.ones((4, 3)), 1),
+    (np.hstack([np.zeros((4, 1)), np.eye(4, 2)]), 0),
+    (np.random.default_rng(4).uniform(-1, 1, (5, 2)) @ [[1, 0, 1], [0, 1, 1]], 2),
+], ids=["identical-columns", "zero-first-column", "third-is-sum-of-first-two"])
+def test_qr_rank_deficient_names_column(w, column):
     with pytest.raises(SingularMatrixError) as err:
         qr_decompose(w)
-    assert "column 1" in str(err.value)
+    assert f"column {column} is numerically dependent" in str(err.value)
+
+
+def test_qr_flips_a_negative_lapack_diagonal():
+    # LAPACK's R for -I has diagonal -1; the sign rule turns it to +1.
+    w = -np.eye(4, 3)
+    assert np.all(np.diag(np.linalg.qr(w)[1]) < 0)
+    q, r = qr_decompose(w)
+    assert np.array_equal(r, np.eye(3))
+    assert np.array_equal(q @ r, w)
 
 
 def test_semi_orthogonal_init_is_semi_orthogonal():
