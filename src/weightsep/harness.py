@@ -5,10 +5,10 @@ loss-menu comparison, activation-vs-weight similarity).
 Every run is fully determined by its config: the seed drives parameter
 init, batch order, and any synthetic data, so identical configs replay
 bit-identically. The decision-column separability score is logged for every
-step in both of its algebraic forms and the two are required to agree. It is
-computed in one stacked pass at each epoch end, over the decision weights the
-epoch's steps produced, so the loop holds one epoch of those weights (steps x
-latent width x classes float64 values); a failing check still names its step.
+step in both of its algebraic forms, computed in one stacked pass at each
+epoch end over the epoch's decision weights (steps x latent width x classes
+float64 values). That pass alone compares the two forms, once per step, and
+names a failing step; the final report is the last weight's, checked there.
 """
 
 import csv
@@ -173,29 +173,6 @@ def evaluate_accuracy(net, ds):
     return float(np.mean(decide_classes(trace.logits) == ds.labels))
 
 
-def _check_forms(eps, eps_trace, step):
-    """Raise :class:`NumericError` naming ``step`` unless both separability
-    forms are finite and agree."""
-    # Absolute tolerance at ordinary magnitudes, relative once a diverging
-    # run pushes the metric far above 1 (roundoff alone exceeds 1e-9 there).
-    # An infinite form gets an infinite tolerance, so finiteness is checked
-    # on its own; this is the one place a non-finite form is rejected.
-    tol = EPSILON_FORM_TOL * max(1.0, abs(eps), abs(eps_trace))
-    if not (math.isfinite(eps) and math.isfinite(eps_trace)
-            and abs(eps - eps_trace) <= tol):
-        raise NumericError(
-            f"separability forms not finite or disagree at step {step}: "
-            f"{eps!r} vs {eps_trace!r}"
-        )
-
-
-def _sample_epsilon(w, step):
-    """Separability report of ``w``, with its two forms checked to agree."""
-    report = separability_report(w)
-    _check_forms(report.epsilon, report.epsilon_trace, step)
-    return report
-
-
 def _score_pending(pending, records):
     """Empty ``pending`` into ``records``: each entry holds a step's
     :class:`MetricRecord` fields but ε, then the decision weight that step
@@ -207,7 +184,16 @@ def _score_pending(pending, records):
     pending.clear()
     eps, eps_trace = stacked_epsilon(np.stack([row[-1] for row in rows]))
     for row, e, e_trace in zip(rows, eps.tolist(), eps_trace.tolist()):
-        _check_forms(e, e_trace, row[0])
+        # Absolute tolerance at ordinary magnitudes, relative far above 1,
+        # where roundoff alone exceeds 1e-9. An infinite form gets an
+        # infinite tolerance, so finiteness is checked on its own.
+        tol = EPSILON_FORM_TOL * max(1.0, abs(e), abs(e_trace))
+        if not (math.isfinite(e) and math.isfinite(e_trace)
+                and abs(e - e_trace) <= tol):
+            raise NumericError(
+                f"separability forms not finite or disagree at step {row[0]}: "
+                f"{e!r} vs {e_trace!r}"
+            )
         records.append(MetricRecord(*row[:-1], epsilon=e))
 
 
@@ -218,7 +204,8 @@ def train(config, ds, eval_ds=None):
     accuracy, decision-column separability) and, when ``eval_ds`` is given,
     records its accuracy at each epoch end. The separability of every step's
     decision weight is computed in one pass at the epoch end, before the
-    eval, so the loop holds one epoch of decision weights until then.
+    eval, so the loop holds one epoch of decision weights until then; that
+    pass checks each step's forms. ``report`` is the final weight's report.
 
     A ``layer_dims`` that does not fit ``ds`` raises :class:`ConfigError`,
     and a decision layer with more classes than latent units raises
@@ -320,7 +307,7 @@ def train(config, ds, eval_ds=None):
         config=config,
         records=tuple(records),
         network=net,
-        report=_sample_epsilon(net.final_weight, step - 1),
+        report=separability_report(net.final_weight),
         eval_accuracy=tuple(eval_accuracy),
     )
 
@@ -481,12 +468,14 @@ def similarity_report(net, ds):
 # Files: PCA export, metric logs, checkpoints, config text
 
 
-def export_pca(latents, labels, path, k=3):
-    """Reduce latents to ``k`` principal components and write a CSV with
-    columns pc1..pck,label, floats at full precision, whole or not at all.
-    ``labels`` holds one non-negative integer per latent row."""
+def export_pca(latents, labels, path):
+    """Write the top 3 (at most) principal components of the 2-D ``latents``
+    and their ``labels``, one non-negative integer per row, to a CSV with
+    columns pc1..pc3,label at full precision, whole or not at all."""
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
+    if latents.ndim != 2:
+        raise ShapeError(f"latents must be 2-D, got shape {latents.shape}")
     if labels.shape != latents.shape[:1]:
         raise ShapeError(f"{labels.shape} labels for {latents.shape} latents; "
                          "need one label per latent row")
@@ -494,7 +483,7 @@ def export_pca(latents, labels, path, k=3):
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and labels.min() < 0:
         raise DataError(f"labels must be non-negative, got {labels.min()}")
-    reduced = pca_reduce(latents, min(k, latents.shape[1]))
+    reduced = pca_reduce(latents, min(3, latents.shape[1]))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([f"pc{i + 1}" for i in range(reduced.shape[1])] + ["label"])

@@ -11,7 +11,7 @@ the orthonormality of the decision columns.
 
 All batch losses reduce by the mean, so loss weights keep the same meaning
 at any batch size. Gradients are returned analytically next to each value.
-Every function that takes labels validates them.
+Every function that takes labels validates them; batch losses need one per row.
 """
 
 import numpy as np
@@ -69,6 +69,8 @@ def softmax_cross_entropy(logits, labels):
         raise ShapeError(f"logits must be 2-D, got ndim={logits.ndim}")
     b, n = logits.shape
     labels = _check_labels(labels, n)
+    if len(labels) != b:
+        raise ShapeError(f"{len(labels)} labels for {b} logit rows")
     rows = np.arange(b)
     logp = log_softmax(logits, axis=1)
     loss = float(-logp[rows, labels].sum() / b)
@@ -100,6 +102,8 @@ def center_loss(latent, labels, centers, rate):
         )
     labels = _check_labels(labels, n_classes)
     b = latent.shape[0]
+    if len(labels) != b:
+        raise ShapeError(f"{len(labels)} labels for {b} latent rows")
 
     diff = latent - centers[labels]
     loss = float(0.5 * (diff * diff).sum() / b)

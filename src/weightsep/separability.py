@@ -58,7 +58,6 @@ class SeparabilityReport:
     epsilon: float
     epsilon_trace: float
     error_matrix: np.ndarray
-    n_classes: int
 
 
 def separability_report(w):
@@ -72,7 +71,6 @@ def separability_report(w):
         epsilon=frobenius_norm_sq(e) / n,
         epsilon_trace=trace(e @ e) / n,
         error_matrix=e,
-        n_classes=n,
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import weightsep as ws
-from conftest import epoch_epsilons, trend_config
+from tests.support import epoch_epsilons, trend_config
 
 
 @pytest.fixture

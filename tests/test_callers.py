@@ -5,18 +5,14 @@ tests fail in the suite rather than in a demo run or a benchmark run.
 """
 
 import importlib.util
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import weightsep as ws
-from conftest import SINGLE_THREAD_ENV
-
-ROOT = Path(__file__).resolve().parents[1]
+from tests.support import ROOT, SINGLE_THREAD_ENV, checkout_env
 
 
 def load_tracing():
@@ -82,9 +78,7 @@ def test_pca_export_goes_through_the_traced_eigensolver(tmp_path):
                                   "reconstruction_loss_tour", "train_blobs",
                                   "frozen_decision_layer"])
 def test_demo_runs(tmp_path, demo):
-    env = dict(os.environ, **SINGLE_THREAD_ENV)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = checkout_env(**SINGLE_THREAD_ENV)
     env.pop("WEIGHTSEP_DATA_DIR", None)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           capture_output=True, text=True, env=env,

@@ -12,13 +12,11 @@ import argparse
 import contextlib
 import gzip
 import io
-import os
 import re
 import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +25,8 @@ import weightsep
 from weightsep import Dataset, cli, config_from_text, harness, write_idx
 from weightsep.cli import main
 
-from conftest import (CORRUPT_GZIP, JSON_PROBES, SINGLE_THREAD_ENV,
-                      config_with, rewrite_checkpoint)
+from tests.support import (CORRUPT_GZIP, JSON_PROBES, ROOT, SINGLE_THREAD_ENV,
+                           checkout_env, config_with, rewrite_checkpoint)
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "0,1,2",
              "--layer-dims", "32,16,3"]
@@ -74,16 +72,6 @@ def test_train_replay_from_config_file(train_run, tmp_path):
     a = (run_dir / "metrics.csv").read_text()
     b = (tmp_path / "replay" / "metrics.csv").read_text()
     assert a == b
-
-
-def checkout_env(**extra):
-    """The environment with ``extra`` set and this checkout's src/ first on
-    PYTHONPATH, so a child process imports this weightsep with no install."""
-    src = str(Path(weightsep.__file__).resolve().parents[1])
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def weightsep_one_thread(argv, cwd):
@@ -744,7 +732,7 @@ def test_corrupt_gzip_data_file_exits_3(tmp_path, kind):
 
 def declared_console_script(name):
     """The ``module:attr`` target of console script *name* in pyproject.toml."""
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: read the one table by hand

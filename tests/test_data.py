@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import CORRUPT_GZIP
+from tests.support import CORRUPT_GZIP
 from weightsep import (
     ConfigError,
     DataError,

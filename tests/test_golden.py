@@ -19,7 +19,6 @@ names the build it ran with, so such a difference reads as one.
 import hashlib
 import importlib.util
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -32,7 +31,7 @@ import pytest
 
 import weightsep as ws
 
-from conftest import SINGLE_THREAD_ENV
+from tests.support import ROOT, SINGLE_THREAD_ENV, checkout_env, trend_config
 
 # CE + center + reconstruction on ten 32-d blobs, batch 32: most batches
 # miss at least one class, so the center update's absent-class path runs.
@@ -73,8 +72,6 @@ DIGITS_TWO_THREADS_SHA256 = (
 
 TWO_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
                   "MKL_NUM_THREADS": "2"}
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # The build the hashes above were recorded with, as blas_build() reports it.
 RECORDED_BLAS = {"name": "scipy-openblas", "version": "0.3.31.188.0",
@@ -119,8 +116,6 @@ def golden_runs(names=CASES):
     """Train the named cases; step counts and hashes keyed by case name,
     the BLAS build under ``"blas"`` and its thread count under
     ``"blas_threads"``."""
-    from conftest import trend_config
-
     blobs = ws.synth_blobs(n_classes=10, per_class=40, dim=32, spread=0.08,
                            seed=5)
     blobs_cfg = ws.TrainConfig(
@@ -153,15 +148,12 @@ def golden_runs(names=CASES):
 
 def golden_runs_in_child(thread_env, names=CASES):
     """:func:`golden_runs` in a child process with ``thread_env`` set."""
-    src = str(Path(ws.__file__).resolve().parents[1])
-    env = dict(os.environ, **thread_env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, str(ROOT / "tests"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import json, test_golden; "
+         f"import json; from tests import test_golden; "
          f"print(json.dumps(test_golden.golden_runs({tuple(names)!r})))"],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=checkout_env(**thread_env),
+        cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -26,7 +26,7 @@ from weightsep import (
 )
 from weightsep import harness
 
-from conftest import JSON_PROBES, config_with, rewrite_checkpoint
+from tests.support import JSON_PROBES, config_with, rewrite_checkpoint
 
 
 def blob_config(**overrides):
@@ -225,6 +225,8 @@ def test_class_count_mismatch(blobs_small):
         train(blob_config(layer_dims=(8, 16, 5)), blobs_small)
     with pytest.raises(ConfigError):
         train(blob_config(layer_dims=(9, 16, 3)), blobs_small)
+    with pytest.raises(ConfigError):
+        train(blob_config(layer_dims=(8,)), blobs_small)
 
 
 def test_frozen_final_keeps_epsilon_constant(blobs_small):
@@ -347,27 +349,44 @@ def test_wide_decision_layer_fails_before_training(monkeypatch):
     assert len(calls) <= 1
 
 
-def test_epsilon_sample_rejects_overflowing_forms():
-    from weightsep.harness import _sample_epsilon
+def pending_row(step, w):
+    """One entry of train's pending list: step ``step``'s record fields but
+    epsilon, then its decision weight ``w``."""
+    return (step, 0, 0.0, 0.0, 0.0, 1.0, w)
 
+
+def test_epsilon_sample_rejects_overflowing_forms():
     # Every entry of the error matrix and of its square is finite, but the
     # sums of squares overflow, so both forms come out infinite.
-    with pytest.raises(ws.NumericError), np.errstate(over="ignore"):
-        _sample_epsilon(np.diag([1e77, 1e77]), 0)
-    report = _sample_epsilon(np.eye(3, 2), 0)
-    assert report.epsilon == report.epsilon_trace == 0.0
+    with pytest.raises(ws.NumericError):
+        harness._score_pending([pending_row(0, np.diag([1e77, 1e77]))], [])
+    records = []
+    harness._score_pending([pending_row(0, np.eye(3, 2))], records)
+    assert records[0].epsilon == 0.0
 
 
 @pytest.mark.parametrize("forms", [(np.inf, 1.0), (1.0, np.inf),
                                    (np.inf, np.inf), (np.nan, 1.0)])
 def test_epsilon_sample_rejects_a_non_finite_form(monkeypatch, forms):
-    from weightsep.separability import SeparabilityReport
-
-    report = SeparabilityReport(*forms, error_matrix=np.zeros((1, 1)),
-                                n_classes=1)
-    monkeypatch.setattr(harness, "separability_report", lambda w: report)
+    monkeypatch.setattr(harness, "stacked_epsilon", lambda weights: (
+        np.array(forms[:1]), np.array(forms[1:])))
     with pytest.raises(ws.NumericError, match="step 4"):
-        harness._sample_epsilon(np.eye(1), 4)
+        harness._score_pending([pending_row(4, np.eye(1))], [])
+
+
+def test_first_bad_epsilon_step_of_an_epoch_is_named(blobs_small, monkeypatch):
+    # Steps 2 and 5 of the first epoch both get an infinite trace form; the
+    # error names the earlier one.
+    stacked_epsilon = harness.stacked_epsilon
+
+    def bad_trace(weights):
+        eps, eps_trace = stacked_epsilon(weights)
+        eps_trace[[2, 5]] = np.inf
+        return eps, eps_trace
+
+    monkeypatch.setattr(harness, "stacked_epsilon", bad_trace)
+    with pytest.raises(ws.NumericError, match=r"at step 2: .* vs inf$"):
+        train(blob_config(epochs=1), blobs_small)
 
 
 def test_batch_accuracy_equals_float_mean(blobs_small, monkeypatch):
@@ -714,6 +733,13 @@ def test_export_pca_round_trip(tmp_path):
     # labels survive
     got = [int(l.split(",")[3]) for l in lines[1:]]
     assert got == list(labels)
+
+
+def test_export_pca_needs_2d_latents(tmp_path):
+    path = tmp_path / "cloud.csv"
+    with pytest.raises(ws.ShapeError, match="latents must be 2-D"):
+        ws.export_pca(np.arange(6.0), np.arange(6) % 2, path)
+    assert not path.exists()
 
 
 def test_export_pca_needs_one_label_per_latent_row(tmp_path):

@@ -318,6 +318,26 @@ def test_reconstruction_rejects_bad_labels():
         reconstruction_loss(latent, np.array([[0, 1]]), w)
 
 
+# Each batch loss as (loss_fn(rows, labels), the rows' name in its message).
+BATCH_LOSSES = {
+    "ce": (softmax_cross_entropy, "logit"),
+    "center": (lambda x, y: center_loss(x, y, np.zeros((3, 3)), 0.5), "latent"),
+    "reconstruction": (lambda x, y: reconstruction_loss(x, y, np.eye(3)),
+                       "latent"),
+}
+
+
+@pytest.mark.parametrize("n_rows, n_labels", [(1, 3), (2, 1), (2, 3)])
+@pytest.mark.parametrize("loss", list(BATCH_LOSSES))
+def test_batch_loss_needs_one_label_per_row(loss, n_rows, n_labels):
+    # Fancy indexing broadcasts a single row or label against the other side,
+    # so without a count check a mismatch can pass silently.
+    loss_fn, rows = BATCH_LOSSES[loss]
+    with pytest.raises(ShapeError,
+                       match=f"{n_labels} labels for {n_rows} {rows} rows"):
+        loss_fn(np.zeros((n_rows, 3)), np.arange(n_labels) % 3)
+
+
 def test_reconstruction_finite_differences_both_gradients():
     rng = np.random.default_rng(36)
     for _ in range(5):

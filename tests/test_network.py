@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import weightsep as ws
-from conftest import train_masks
+from tests.support import train_masks
 from weightsep import (
     ConfigError,
     Network,

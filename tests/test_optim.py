@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import train_masks
+from tests.support import train_masks
 from weightsep import (
     ConfigError,
     NetworkSpec,

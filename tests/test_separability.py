@@ -118,7 +118,6 @@ def test_report_fields_consistent():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(9, 4))
     rep = separability_report(w)
-    assert rep.n_classes == 4
     assert abs(rep.epsilon - np.sum(rep.error_matrix**2) / 4) < 1e-12
     assert np.max(np.abs(rep.error_matrix - rep.error_matrix.T)) < 1e-10
 
