@@ -20,18 +20,18 @@ config = ws.TrainConfig(
     use_reconstruction=True,
 )
 
-artifact = ws.train(config, train_ds, eval_ds=test_ds)
+artifact = ws.train(config, train_ds)
 
-eps_by_epoch = {}
-for rec in artifact.records:
-    eps_by_epoch[rec.epoch] = rec.epsilon  # keep the last step of each epoch
+# the last step of each epoch, in epoch order
+last_step = {rec.epoch: rec for rec in artifact.records}
 
-print("epoch  epsilon      test acc")
-for epoch in sorted(eps_by_epoch):
-    print(f"{epoch:>5}  {ws.format_epsilon(eps_by_epoch[epoch])}   "
-          f"{artifact.eval_accuracy[epoch]:8.3f}")
+print("epoch  epsilon   batch acc")
+for epoch, rec in last_step.items():
+    print(f"{epoch:>5}  {ws.format_epsilon(rec.epsilon)}   "
+          f"{rec.train_accuracy:8.3f}")
 
-eps = np.array([eps_by_epoch[e] for e in sorted(eps_by_epoch)])
+eps = np.array([rec.epsilon for rec in last_step.values()])
 rho = spearmanr(np.arange(len(eps)), eps).statistic
 print(f"\nSpearman(epoch, epsilon) = {rho:+.3f}")
 print(f"final train accuracy {ws.evaluate_accuracy(artifact.network, train_ds):.3f}")
+print(f"final test accuracy {ws.evaluate_accuracy(artifact.network, test_ds):.3f}")

@@ -38,7 +38,7 @@ config = ws.TrainConfig(
     use_reconstruction=True,
 )
 
-artifact = ws.train(config, train_ds, eval_ds=test_ds)
+artifact = ws.train(config, train_ds)
 
 print("epoch   loss    train acc   epsilon")
 last_epoch = -1

@@ -19,6 +19,7 @@ import numpy as np
 from . import harness
 from .data import (
     Dataset,
+    _load_mnist_split,
     filter_classes,
     load_mnist_dir,
     synth_blobs,
@@ -110,14 +111,29 @@ def _split_blobs(n_classes, dim, seed):
     )
 
 
+def _resolve_source(source):
+    """``source``, else $WEIGHTSEP_DATA_DIR, else 'digits'."""
+    return source or os.environ.get(DATA_DIR_ENV) or "digits"
+
+
+def _test_split(source, seed):
+    """The test split of a resolved ``source``, built alone except for
+    blobs, whose test rows come from the joint draw."""
+    if source == "digits":
+        # Wrapped to 64 bits, as the stream keys always were.
+        return synth_digits(SYNTH_TEST_PER_CLASS, (seed + 1_000_003) % 2**64)
+    if source == "blobs":
+        return _split_blobs(n_classes=10, dim=32, seed=seed)[1]
+    return _load_mnist_split(source, "test")
+
+
 def resolve_datasets(source, classes, seed):
     """(source, train, test): ``source`` falls back to $WEIGHTSEP_DATA_DIR,
     then to 'digits'; ``classes`` is the subset to keep, () for all."""
-    source = source or os.environ.get(DATA_DIR_ENV) or "digits"
+    source = _resolve_source(source)
     if source == "digits":
         train = synth_digits(SYNTH_TRAIN_PER_CLASS, seed)
-        # Wrapped to 64 bits, as the stream keys always were.
-        test = synth_digits(SYNTH_TEST_PER_CLASS, (seed + 1_000_003) % 2**64)
+        test = _test_split(source, seed)
     elif source == "blobs":
         train, test = _split_blobs(n_classes=10, dim=32, seed=seed)
     else:
@@ -173,18 +189,19 @@ def _test_set(args):
     """The test split a checkpoint command reads; it takes no config."""
     seed = check_seed(args.seed or 0)
     classes = _parse_int_list(args.class_filter or "")
-    return resolve_datasets(args.data_source, classes, seed)[2]
+    test = _test_split(_resolve_source(args.data_source), seed)
+    return filter_classes(test, classes) if classes else test
 
 
 def cmd_train(args):
     config, train_ds, test_ds = build_config(args)
-    artifact = harness.train(config, train_ds, eval_ds=test_ds)
+    artifact = harness.train(config, train_ds)
     harness.write_run_artifact(artifact, args.out)
     final = artifact.records[-1]
     print(f"steps: {final.step + 1}")
     print(f"final train batch accuracy: {final.train_accuracy:.4f}")
-    if artifact.eval_accuracy:
-        print(f"final test accuracy: {artifact.eval_accuracy[-1]:.4f}")
+    print(f"final test accuracy: "
+          f"{harness.evaluate_accuracy(artifact.network, test_ds):.4f}")
     print(f"final separability: {format_epsilon(artifact.report.epsilon)}")
     print(f"artifacts written to {args.out}")
     return 0

@@ -337,30 +337,30 @@ _MNIST_FILES = {
 }
 
 
+def _load_mnist_split(directory, split):
+    """One ``split`` ("train" or "test") of :func:`load_mnist_dir`."""
+    import os
+
+    paths = []
+    for name in _MNIST_FILES[split]:
+        path = os.path.join(directory, name)
+        if not os.path.exists(path):
+            path += ".gz"
+        if not os.path.exists(path):
+            raise FormatError(
+                f"missing {name}[.gz] in {directory}; download the four "
+                "MNIST IDX files (train/t10k images and labels) into that "
+                "directory, e.g. from https://ossci-datasets.s3.amazonaws"
+                ".com/mnist/"
+            )
+        paths.append(path)
+    return read_idx(*paths)
+
+
 def load_mnist_dir(directory):
     """Load the standard digit IDX file pair layout from ``directory``.
 
     Accepts plain or gzipped files under the conventional names. Raises
     :class:`FormatError` if a file is missing, with fetch instructions.
     """
-    import os
-
-    out = {}
-    for split, (img_name, lbl_name) in _MNIST_FILES.items():
-        paths = []
-        for name in (img_name, lbl_name):
-            plain = os.path.join(directory, name)
-            gz = plain + ".gz"
-            if os.path.exists(plain):
-                paths.append(plain)
-            elif os.path.exists(gz):
-                paths.append(gz)
-            else:
-                raise FormatError(
-                    f"missing {name}[.gz] in {directory}; download the four "
-                    "MNIST IDX files (train/t10k images and labels) into that "
-                    "directory, e.g. from https://ossci-datasets.s3.amazonaws"
-                    ".com/mnist/"
-                )
-        out[split] = read_idx(paths[0], paths[1])
-    return out["train"], out["test"]
+    return tuple(_load_mnist_split(directory, s) for s in ("train", "test"))

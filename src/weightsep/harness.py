@@ -164,7 +164,6 @@ class RunArtifact:
     records: tuple
     network: Network
     report: object
-    eval_accuracy: tuple = ()
 
 
 def evaluate_accuracy(net, ds):
@@ -197,15 +196,14 @@ def _score_pending(pending, records):
         records.append(MetricRecord(*row[:-1], epsilon=e))
 
 
-def train(config, ds, eval_ds=None):
+def train(config, ds):
     """Run the configured training loop on ``ds``.
 
     Appends one :class:`MetricRecord` per step (batch loss parts, batch
-    accuracy, decision-column separability) and, when ``eval_ds`` is given,
-    records its accuracy at each epoch end. The separability of every step's
-    decision weight is computed in one pass at the epoch end, before the
-    eval, so the loop holds one epoch of decision weights until then; that
-    pass checks each step's forms. ``report`` is the final weight's report.
+    accuracy, decision-column separability). The separability of every step's
+    decision weight is computed in one pass at the epoch end, so the loop
+    holds one epoch of decision weights until then; that pass checks each
+    step's forms. ``report`` is the final weight's report.
 
     A ``layer_dims`` that does not fit ``ds`` raises :class:`ConfigError`,
     and a decision layer with more classes than latent units raises
@@ -244,7 +242,6 @@ def train(config, ds, eval_ds=None):
     # Steps awaiting ε at the epoch end: their record fields, then the
     # decision weight each produced, uncopied (sgd_step never mutates one).
     pending = []
-    eval_accuracy = []
     step = 0
     try:
         for epoch in range(config.epochs):
@@ -296,8 +293,6 @@ def train(config, ds, eval_ds=None):
                                 batch_acc, net.final_weight))
                 step += 1
             _score_pending(pending, records)
-            if eval_ds is not None:
-                eval_accuracy.append(evaluate_accuracy(net, eval_ds))
     finally:
         # A step that raised leaves the steps before it unscored; a bad form
         # among them came first at that point, so it is the error raised.
@@ -308,7 +303,6 @@ def train(config, ds, eval_ds=None):
         records=tuple(records),
         network=net,
         report=separability_report(net.final_weight),
-        eval_accuracy=tuple(eval_accuracy),
     )
 
 
@@ -350,11 +344,11 @@ def experiment_frozen_linearity(train_ds, test_ds, seed, config):
         ("random", "uniform_unit"),
     ):
         cfg = replace(config, seed=seed, freeze_final=True, final_init=final_init)
-        artifact = train(cfg, train_ds, eval_ds=test_ds)
+        artifact = train(cfg, train_ds)
         arms.append(
             FrozenArm(
                 name=name,
-                accuracy=artifact.eval_accuracy[-1],
+                accuracy=evaluate_accuracy(artifact.network, test_ds),
                 epsilon=artifact.report.epsilon,
                 epsilon_steps=tuple(r.epsilon for r in artifact.records),
                 latents=latent_features(artifact.network, test_ds),
@@ -405,8 +399,8 @@ def experiment_loss_comparison(train_ds, test_ds, seeds, config):
                 cfg = replace(
                     config, seed=seed, loss=loss, use_reconstruction=use_re
                 )
-                artifact = train(cfg, train_ds, eval_ds=test_ds)
-                accs.append(artifact.eval_accuracy[-1])
+                artifact = train(cfg, train_ds)
+                accs.append(evaluate_accuracy(artifact.network, test_ds))
                 epss.append(artifact.report.epsilon)
             cells.append(
                 ComparisonCell(

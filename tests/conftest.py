@@ -28,19 +28,19 @@ def blobs_small():
 @pytest.fixture(scope="session")
 def trend_run(paired_runs):
     """One full run of the trend recipe (seed 1, with reconstruction): the
-    same config, data and eval set as its entry in ``paired_runs``."""
+    same config and data as its entry in ``paired_runs``."""
     return paired_runs[(True, 1)]
 
 
 @pytest.fixture(scope="session")
-def paired_runs(digits_train, digits_test):
+def paired_runs(digits_train):
     """Five seeds x {with, without} reconstruction, shared by the epsilon
     comparison and the similarity-direction tests."""
     out = {}
     for use_re in (True, False):
         for seed in (1, 2, 3, 4, 5):
             cfg = trend_config(seed, use_reconstruction=use_re)
-            out[(use_re, seed)] = ws.train(cfg, digits_train, eval_ds=digits_test)
+            out[(use_re, seed)] = ws.train(cfg, digits_train)
     return out
 
 

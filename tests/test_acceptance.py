@@ -206,11 +206,14 @@ def test_criterion_05_epsilon_trend(request, report):
 def test_criterion_06_reconstruction_lowers_epsilon(request, report):
     start = time.perf_counter()
     runs = request.getfixturevalue("paired_runs")
+    digits_test = request.getfixturevalue("digits_test")
     seeds = (1, 2, 3, 4, 5)
     eps_with = [runs[(True, s)].report.epsilon for s in seeds]
     eps_without = [runs[(False, s)].report.epsilon for s in seeds]
-    acc_with = np.mean([runs[(True, s)].eval_accuracy[-1] for s in seeds])
-    acc_without = np.mean([runs[(False, s)].eval_accuracy[-1] for s in seeds])
+    acc_with = np.mean([ws.evaluate_accuracy(runs[(True, s)].network,
+                                             digits_test) for s in seeds])
+    acc_without = np.mean([ws.evaluate_accuracy(runs[(False, s)].network,
+                                                digits_test) for s in seeds])
     mean_with, mean_without = np.mean(eps_with), np.mean(eps_without)
     elapsed = time.perf_counter() - start
     ok = mean_with < mean_without and acc_with >= acc_without - 0.005

@@ -62,6 +62,26 @@ def test_train_writes_artifacts(train_run):
     assert cfg.layer_dims == (32, 16, 3)
 
 
+def test_train_evaluates_the_trained_network_once(tmp_path, monkeypatch):
+    evaluated = []
+    evaluate = harness.evaluate_accuracy
+
+    def counted(net, ds):
+        evaluated.append(net)
+        return evaluate(net, ds)
+
+    monkeypatch.setattr(harness, "evaluate_accuracy", counted)
+    run_dir = tmp_path / "run"
+    rc, out, err = run_cli(["train", *BLOB_ARGS, "--epochs", "3",
+                            "--seed", "3", "--out", str(run_dir)])
+    assert rc == 0, err
+    assert len(evaluated) == 1
+    net = harness.load_checkpoint(run_dir / "checkpoint.bin")
+    test_ds = cli.resolve_datasets("blobs", (0, 1, 2), 3)[2]
+    want = f"final test accuracy: {evaluate(net, test_ds):.4f}"
+    assert want in out.splitlines()
+
+
 def test_train_replay_from_config_file(train_run, tmp_path):
     _, _, run_dir = train_run
     rc, _, _ = run_cli(
@@ -373,10 +393,10 @@ def fields_the_experiment_sets(monkeypatch, run):
     changed = set()
     train = harness.train
 
-    def spy(config, ds, eval_ds=None):
+    def spy(config, ds):
         changed.update(k for k, v in asdict(config).items()
                        if v != getattr(base, k))
-        return train(config, ds, eval_ds)
+        return train(config, ds)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "train", spy)
@@ -701,6 +721,75 @@ def test_missing_data_dir_mentions_fetch_url(tmp_path):
     )
     assert rc == 3
     assert "http" in err
+
+
+def save_initial_checkpoint(path, dims):
+    net = weightsep.init_network(weightsep.NetworkSpec(dims), seed=0)
+    harness.save_checkpoint(net, path)
+    return str(path)
+
+
+def checkpoint_command(command, data, ckpt, out_csv):
+    """argv of a checkpoint command reading ``data`` at seed 2."""
+    if command == "similarity":
+        return ["similarity", "--data", data, "--seed", "2", ckpt]
+    return ["export-pca", "--data", data, "--seed", "2", "--checkpoint", ckpt,
+            "--out", str(out_csv)]
+
+
+@pytest.mark.parametrize("command", ["similarity", "export-pca"])
+def test_checkpoint_commands_synthesize_only_the_test_split(
+        tmp_path, monkeypatch, command):
+    per_class = []
+    synth = cli.synth_digits
+
+    def spy(n, seed):
+        per_class.append(n)
+        return synth(n, seed)
+
+    monkeypatch.setattr(cli, "synth_digits", spy)
+    ckpt = save_initial_checkpoint(tmp_path / "c.bin", (784, 8, 10))
+    rc, _, err = run_cli(checkpoint_command(command, "digits", ckpt,
+                                            tmp_path / "x.csv"))
+    assert rc == 0, err
+    assert per_class == [cli.SYNTH_TEST_PER_CLASS]
+
+
+@pytest.mark.parametrize("command", ["similarity", "export-pca"])
+def test_checkpoint_commands_need_only_the_test_pair(tmp_path, command):
+    data_dir = tmp_path / "idx"
+    data_dir.mkdir()
+    author_digit_dir(data_dir)
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+        (data_dir / name).unlink()
+    ckpt = save_initial_checkpoint(tmp_path / "c.bin", (4, 8, 3))
+    out_csv = tmp_path / "x.csv"
+    rc, _, err = run_cli(checkpoint_command(command, str(data_dir), ckpt,
+                                            out_csv))
+    assert rc == 0, err
+    if command == "export-pca":
+        assert len(out_csv.read_text().splitlines()) == 1 + 3 * 8
+
+
+@pytest.mark.parametrize("source", ["digits", "blobs", "idx"])
+def test_export_pca_test_split_matches_resolve_datasets(tmp_path, source):
+    # The test split alone is the one resolve_datasets builds with the train
+    # split, so the export keeps its bytes.
+    dims = {"digits": (784, 8, 10), "blobs": (32, 8, 10), "idx": (4, 8, 3)}
+    ckpt = save_initial_checkpoint(tmp_path / "c.bin", dims[source])
+    if source == "idx":
+        author_digit_dir(tmp_path)
+        source = str(tmp_path)
+    out_csv = tmp_path / "x.csv"
+    rc, _, err = run_cli(["export-pca", "--data", source, "--classes", "0,2",
+                          "--seed", "2", "--checkpoint", ckpt,
+                          "--out", str(out_csv)])
+    assert rc == 0, err
+    test_ds = cli.resolve_datasets(source, (0, 2), 2)[2]
+    net = harness.load_checkpoint(ckpt)
+    harness.export_pca(harness.latent_features(net, test_ds), test_ds.labels,
+                       tmp_path / "want.csv")
+    assert out_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_oversized_idx_header_exits_3(tmp_path):

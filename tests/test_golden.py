@@ -134,8 +134,8 @@ def golden_runs(names=CASES):
         "blobs_ce": lambda: ws.train(blobs_ce_cfg, blobs),
         "blobs_deep": lambda: ws.train(blobs_deep_cfg, blobs),
         "digits": lambda: ws.train(
-            trend_config(1, epochs=2), ws.synth_digits(per_class=512, seed=11),
-            eval_ds=ws.synth_digits(per_class=100, seed=1_000_014)),
+            trend_config(1, epochs=2),
+            ws.synth_digits(per_class=512, seed=11)),
     }
     out = {}
     for name in names:

@@ -244,12 +244,6 @@ def test_center_loss_variant_runs(blobs_small):
     assert all(np.isfinite(r.loss_total) for r in art.records)
 
 
-def test_eval_accuracy_logged_per_epoch(blobs_small):
-    art = train(blob_config(epochs=4), blobs_small,
-                eval_ds=blobs_small)
-    assert len(art.eval_accuracy) == 4
-
-
 def test_nonfinite_loss_aborts_with_step_index(blobs_small, monkeypatch):
     from weightsep.harness import losses as loss_mod
 
@@ -861,3 +855,23 @@ def test_failed_write_keeps_the_earlier_file_and_no_temp(tmp_path, blob_run,
         with pytest.raises(OSError):
             write()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_experiments_evaluate_each_trained_network_once(blobs_small,
+                                                        monkeypatch):
+    evaluated = []
+    evaluate = harness.evaluate_accuracy
+
+    def counted(net, ds):
+        evaluated.append(net)
+        return evaluate(net, ds)
+
+    monkeypatch.setattr(harness, "evaluate_accuracy", counted)
+    cfg = blob_config(epochs=3)
+    ws.experiment_frozen_linearity(blobs_small, blobs_small, seed=1,
+                                   config=cfg)
+    assert len(evaluated) == 2
+    ws.experiment_loss_comparison(blobs_small, blobs_small, seeds=(0, 1, 2),
+                                  config=cfg)
+    assert len(evaluated) == 2 + 4 * 3
+    assert len({id(net) for net in evaluated}) == len(evaluated)
