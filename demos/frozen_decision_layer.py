@@ -19,8 +19,7 @@ config = ws.TrainConfig(
     base_lr=0.1,
 )
 
-result = ws.experiment_frozen_linearity(train_ds, test_ds, seed=4,
-                                        config=config)
+result = ws.experiment_frozen_linearity(train_ds, test_ds, config)
 
 for arm in (result.orthonormal, result.random):
     print(f"{arm.name:>12}: test accuracy {arm.accuracy:.4f}, "

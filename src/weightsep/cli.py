@@ -209,9 +209,7 @@ def cmd_train(args):
 
 def cmd_frozen_linearity(args):
     config, train_ds, test_ds = build_config(args, implicit_classes=(0, 1, 5))
-    result = harness.experiment_frozen_linearity(
-        train_ds, test_ds, args.seed, config=config
-    )
+    result = harness.experiment_frozen_linearity(train_ds, test_ds, config)
     for arm in (result.orthonormal, result.random):
         print(
             f"{arm.name:>12}: test accuracy {arm.accuracy:.4f}, "

@@ -5,10 +5,11 @@ loss-menu comparison, activation-vs-weight similarity).
 Every run is fully determined by its config: the seed drives parameter
 init, batch order, and any synthetic data, so identical configs replay
 bit-identically. The decision-column separability score is logged for every
-step in both of its algebraic forms, computed in one stacked pass at each
-epoch end over the epoch's decision weights (steps x latent width x classes
-float64 values). That pass alone compares the two forms, once per step, and
-names a failing step; the final report is the last weight's, checked there.
+step in its Frobenius form, computed in one stacked pass at each epoch end
+over the epoch's decision weights (steps x latent width x classes float64
+values). That pass also computes the trace form and alone compares the two,
+once per step, naming a failing step; the final report is the last
+weight's, checked there.
 """
 
 import csv
@@ -225,13 +226,9 @@ def train(config, ds):
 
     net = init_network(spec, config.seed, final_init=config.final_init)
     params = net.parameters()
-    velocity = tuple(np.zeros_like(p) for p in params)
-    # Weight decay skips biases; freeze_final stops the decision weight.
-    layout = spec.parameter_layout()
-    decayed = [is_weight for _, _, is_weight in layout]
-    trainable = [True] * len(layout)
-    if config.freeze_final:
-        trainable[-1] = False
+    # freeze_final keeps the decision weight, the last parameter, out of SGD.
+    n_trained = len(params) - 1 if config.freeze_final else len(params)
+    velocity = tuple(np.zeros_like(p) for p in params[:n_trained])
     error_matrix(net.final_weight)  # OrientationError: more classes than units
 
     centers = None
@@ -281,10 +278,11 @@ def train(config, ds):
                     )
 
                 grads = backward(net, trace, ce_grad, latent_grad, w_grad)
-                params, velocity = optim.sgd_step(
-                    params, grads, velocity, lr, config.momentum,
-                    config.weight_decay, trainable, decayed
+                trained, velocity = optim.sgd_step(
+                    params[:n_trained], grads[:n_trained], velocity, lr,
+                    config.momentum, config.weight_decay
                 )
+                params = trained + params[n_trained:]
                 net = net.replace_parameters(params)
 
                 batch_acc = (np.count_nonzero(decide_classes(logits) == labels)
@@ -333,17 +331,18 @@ class FrozenLinearityResult:
     random: FrozenArm
 
 
-def experiment_frozen_linearity(train_ds, test_ds, seed, config):
+def experiment_frozen_linearity(train_ds, test_ds, config):
     """Train twin networks whose decision layer never updates: one arm gets
     orthonormal columns, the other raw uniform [-1, 1] columns. Each arm is
-    ``config`` with ``seed``, ``freeze_final`` and ``final_init`` set. Reports
-    both test accuracies, both separability scores, and the test latents."""
+    ``config`` with ``freeze_final`` and ``final_init`` set, so both train at
+    ``config.seed``. Reports both test accuracies, both separability scores,
+    and the test latents."""
     arms = []
     for name, final_init in (
         ("orthonormal", "semi_orthogonal"),
         ("random", "uniform_unit"),
     ):
-        cfg = replace(config, seed=seed, freeze_final=True, final_init=final_init)
+        cfg = replace(config, freeze_final=True, final_init=final_init)
         artifact = train(cfg, train_ds)
         arms.append(
             FrozenArm(

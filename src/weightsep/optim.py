@@ -1,6 +1,6 @@
-"""SGD with classical momentum, decoupled-from-bias weight decay, and a
-step learning-rate schedule. Hyperparameters are plain values; their ranges
-are checked once, by the training config."""
+"""SGD with classical momentum, weight decay on the weight matrices (never
+the bias vectors), and a step learning-rate schedule. Hyperparameters are
+plain values; their ranges are checked once, by the training config."""
 
 import numpy as np
 
@@ -17,40 +17,31 @@ def lr_at(base_lr, milestones, factor, epoch):
     return base_lr * factor**passed
 
 
-def sgd_step(params, grads, velocity, lr, momentum, weight_decay, trainable,
-             decayed):
-    """One momentum-SGD update.
+def sgd_step(params, grads, velocity, lr, momentum, weight_decay):
+    """One momentum-SGD update of every parameter given.
 
     Per parameter: g' = g + weight_decay * p; v' = momentum * v + g';
-    p' = p - lr * v'. Returns (new_params, new_velocity); inputs are not
-    mutated. ``trainable`` and ``decayed`` hold one flag per parameter: a
-    parameter whose ``trainable`` flag is False is handed back with its
-    velocity unchanged, and weight decay applies only where ``decayed`` is
-    True (to weights, not biases).
+    p' = p - lr * v'. Weight decay applies to each matrix (a weight) and to
+    no vector (a bias). Returns (new_params, new_velocity); inputs are not
+    mutated.
     """
     params = list(params)
     grads = list(grads)
-    if not (len(params) == len(grads) == len(velocity) == len(trainable)
-            == len(decayed)):
+    if not len(params) == len(grads) == len(velocity):
         raise ShapeError(
-            f"parameter/gradient/velocity/mask counts differ: {len(params)}/"
-            f"{len(grads)}/{len(velocity)}/{len(trainable)}/{len(decayed)}"
+            f"parameter/gradient/velocity counts differ: {len(params)}/"
+            f"{len(grads)}/{len(velocity)}"
         )
 
     new_params, new_velocity = [], []
-    for p, g, v, train, decay in zip(params, grads, velocity, trainable,
-                                     decayed):
+    for p, g, v in zip(params, grads, velocity):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape}")
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient; aborting the step")
-        if not train:
-            new_params.append(p)
-            new_velocity.append(v)
-            continue
         # The rule above on two fresh arrays, in the same operation order.
         v_new = momentum * v
-        if decay:
+        if p.ndim == 2:
             t = weight_decay * p
             t += g
             v_new += t

@@ -12,7 +12,6 @@ import zlib
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import weightsep as ws
 
@@ -55,28 +54,6 @@ def epoch_epsilons(artifact):
     for rec in artifact.records:
         by_epoch[rec.epoch] = rec.epsilon
     return np.array([by_epoch[e] for e in sorted(by_epoch)])
-
-
-def train_masks(dims, freeze_final):
-    """The ``trainable`` and ``decayed`` masks that one step of ``train`` on a
-    network of widths ``dims`` hands to ``sgd_step``."""
-    seen = []
-    step = ws.optim.sgd_step
-
-    def recording(params, grads, velocity, lr, momentum, weight_decay,
-                  trainable, decayed):
-        seen.append((list(trainable), list(decayed)))
-        return step(params, grads, velocity, lr, momentum, weight_decay,
-                    trainable, decayed)
-
-    ds = ws.synth_blobs(dims[-1], 2, dims[0], 0.1, seed=0)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(ws.optim, "sgd_step", recording)
-        ws.train(ws.TrainConfig(layer_dims=dims, epochs=1, seed=0,
-                                batch_size=len(ds), freeze_final=freeze_final),
-                 ds)
-    assert len(seen) == 1
-    return seen[0]
 
 
 # Damaged forms of the gzip bytes ``gz``, by the error gzip raises on them.

@@ -232,8 +232,7 @@ def test_criterion_07_frozen_columns(request, report):
     for seed in seeds:
         cfg = trend_config(seed, use_reconstruction=False,
                            layer_dims=(784, 64, 3))
-        res = ws.experiment_frozen_linearity(train_ds, test_ds, seed,
-                                             config=cfg)
+        res = ws.experiment_frozen_linearity(train_ds, test_ds, cfg)
         worst_eps = max(worst_eps, max(res.orthonormal.epsilon_steps))
         acc_ortho.append(res.orthonormal.accuracy)
         acc_random.append(res.random.accuracy)
@@ -285,18 +284,15 @@ def test_criterion_09_schedule_and_sgd_identities(blobs_small, report):
     grads = tuple(rng.normal(size=p.shape) for p in params)
     velocity = tuple(rng.normal(size=p.shape) for p in params)
     momentum, weight_decay = 0.9, 1e-4
-    update = (True, True, False)
-    decay = (True, False, True)
     got_p, got_v = ws.sgd_step(params, grads, velocity, 0.1, momentum,
-                               weight_decay, update, decay)
+                               weight_decay)
     exact = True
     for k, (p, g, v) in enumerate(zip(params, grads, velocity)):
         p_ref, v_ref = p.copy(), v.copy()
-        if update[k]:
-            for idx in np.ndindex(p.shape):
-                g_eff = g[idx] + (weight_decay * p[idx] if decay[k] else 0.0)
-                v_ref[idx] = momentum * v[idx] + g_eff
-                p_ref[idx] = p[idx] - 0.1 * v_ref[idx]
+        for idx in np.ndindex(p.shape):
+            g_eff = g[idx] + (weight_decay * p[idx] if p.ndim == 2 else 0.0)
+            v_ref[idx] = momentum * v[idx] + g_eff
+            p_ref[idx] = p[idx] - 0.1 * v_ref[idx]
         exact = exact and np.array_equal(got_p[k], p_ref)
         exact = exact and np.array_equal(got_v[k], v_ref)
 

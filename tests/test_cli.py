@@ -408,9 +408,7 @@ def test_no_experiment_flag_is_overwritten(monkeypatch, blobs_small):
     ds = blobs_small
     frozen = fields_the_experiment_sets(
         monkeypatch,
-        # the CLI passes --seed both in the config and as the arms' seed
-        lambda config: harness.experiment_frozen_linearity(
-            ds, ds, config.seed, config=config))
+        lambda config: harness.experiment_frozen_linearity(ds, ds, config))
     compare = fields_the_experiment_sets(
         monkeypatch,
         lambda config: harness.experiment_loss_comparison(

@@ -3,7 +3,7 @@ import math
 import re
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -237,6 +237,27 @@ def test_frozen_final_keeps_epsilon_constant(blobs_small):
     assert art.report.epsilon < 1e-12
 
 
+def test_freeze_final_keeps_the_decision_weight_out_of_sgd(blobs_small,
+                                                           monkeypatch):
+    cfg = blob_config(freeze_final=True, epochs=2)
+    handed = []
+    sgd_step = harness.optim.sgd_step
+
+    def recording(params, *args):
+        handed.append(len(params))
+        return sgd_step(params, *args)
+
+    monkeypatch.setattr(harness.optim, "sgd_step", recording)
+    art = train(cfg, blobs_small)
+    spec = ws.NetworkSpec(cfg.layer_dims)
+    assert handed == [len(spec.parameter_layout()) - 1] * len(art.records)
+    fresh = ws.init_network(spec, cfg.seed)
+    trained = art.network.parameters()
+    assert np.array_equal(trained[-1], fresh.final_weight)
+    for p, p0 in zip(trained[:-1], fresh.parameters()):
+        assert not np.array_equal(p, p0)
+
+
 def test_center_loss_variant_runs(blobs_small):
     art = train(blob_config(loss="softmax_ce_plus_center", epochs=5),
                 blobs_small)
@@ -314,14 +335,13 @@ def test_logged_epsilon_is_the_report_of_each_steps_weight(
     # ε is computed at each epoch end from the weights the steps produced;
     # each must read as the checked report of that step's weight would.
     weights = []
-    sgd_step = harness.optim.sgd_step
+    replace_parameters = harness.Network.replace_parameters
 
-    def recording(*args):
-        params, velocity = sgd_step(*args)
+    def recording(net, params):
         weights.append(params[-1].copy())
-        return params, velocity
+        return replace_parameters(net, params)
 
-    monkeypatch.setattr(harness.optim, "sgd_step", recording)
+    monkeypatch.setattr(harness.Network, "replace_parameters", recording)
     art = train(blob_config(**overrides), blobs_small)
     assert len(weights) == len(art.records)
     assert [r.epsilon for r in art.records] == \
@@ -438,9 +458,8 @@ def test_train_step_composes_gradient_seeds(blobs_small):
                         cfg.lam * re_w)
     params = net.parameters()
     velocity = tuple(np.zeros_like(p) for p in params)
-    decayed = [is_weight for _, _, is_weight in spec.parameter_layout()]
     params, _ = ws.sgd_step(params, grads, velocity, cfg.base_lr, cfg.momentum,
-                            cfg.weight_decay, [True] * len(params), decayed)
+                            cfg.weight_decay)
     for x, y in zip(art.network.parameters(), params):
         assert np.array_equal(x, y)
     rec = art.records[0]
@@ -771,7 +790,7 @@ def test_export_pca_rejects_negative_labels(tmp_path):
 def test_frozen_linearity_experiment_small(blobs_small):
     cfg = blob_config(epochs=10)
     res = ws.experiment_frozen_linearity(
-        blobs_small, blobs_small, seed=1, config=cfg
+        blobs_small, blobs_small, replace(cfg, seed=1)
     )
     assert max(res.orthonormal.epsilon_steps) < 1e-12
     # the random [-1,1] arm is frozen too: constant but visibly non-orthonormal
@@ -868,8 +887,8 @@ def test_experiments_evaluate_each_trained_network_once(blobs_small,
 
     monkeypatch.setattr(harness, "evaluate_accuracy", counted)
     cfg = blob_config(epochs=3)
-    ws.experiment_frozen_linearity(blobs_small, blobs_small, seed=1,
-                                   config=cfg)
+    ws.experiment_frozen_linearity(blobs_small, blobs_small,
+                                   replace(cfg, seed=1))
     assert len(evaluated) == 2
     ws.experiment_loss_comparison(blobs_small, blobs_small, seeds=(0, 1, 2),
                                   config=cfg)

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from tests.support import train_masks
 from weightsep import (
     ConfigError,
-    NetworkSpec,
     NumericError,
     ShapeError,
     TrainConfig,
-    init_network,
     lr_at,
     sgd_step,
 )
@@ -58,9 +55,8 @@ def test_schedule_validation():
 
 
 def plain_step(p, g, velocity, momentum=0.0, weight_decay=0.0):
-    """One step at lr 0.1 with every parameter trained and decayed."""
-    flags = [True] * len(p)
-    return sgd_step(p, g, velocity, 0.1, momentum, weight_decay, flags, flags)
+    """One step at lr 0.1."""
+    return sgd_step(p, g, velocity, 0.1, momentum, weight_decay)
 
 
 def test_vanilla_descent():
@@ -80,26 +76,28 @@ def test_momentum_two_steps_constant_gradient():
 
 
 def test_weight_decay_hand_value():
-    p = (np.array([1.0]),)
-    g = (np.array([0.0]),)
-    new, _ = plain_step(p, g, (np.zeros(1),), weight_decay=1e-4)
-    assert abs(new[0][0] - (1.0 - 0.1 * 1e-4)) < 1e-18
+    # a 1x1 weight decays; a bias, with a zero gradient, does not move
+    p = (np.array([[1.0]]), np.array([1.0]))
+    g = (np.array([[0.0]]), np.array([0.0]))
+    new, _ = plain_step(p, g, (np.zeros((1, 1)), np.zeros(1)),
+                        weight_decay=1e-4)
+    assert abs(new[0][0, 0] - (1.0 - 0.1 * 1e-4)) < 1e-18
+    assert new[1][0] == 1.0
 
 
-def scalar_loop_oracle(params, grads, velocity, lr, momentum, weight_decay,
-                       trainable, decayed):
-    """Element-by-element reimplementation of the update rule."""
+def scalar_loop_oracle(params, grads, velocity, lr, momentum, weight_decay):
+    """Element-by-element reimplementation of the update rule: every matrix
+    decays, no vector does."""
     new_params, new_vel = [], []
-    for k, (p, g, v) in enumerate(zip(params, grads, velocity)):
+    for p, g, v in zip(params, grads, velocity):
         p_out = p.copy()
         v_out = v.copy()
-        if trainable[k]:
-            for idx in np.ndindex(p.shape):
-                g_eff = g[idx]
-                if decayed[k]:
-                    g_eff = g_eff + weight_decay * p[idx]
-                v_out[idx] = momentum * v[idx] + g_eff
-                p_out[idx] = p[idx] - lr * v_out[idx]
+        for idx in np.ndindex(p.shape):
+            g_eff = g[idx]
+            if p.ndim == 2:
+                g_eff = g_eff + weight_decay * p[idx]
+            v_out[idx] = momentum * v[idx] + g_eff
+            p_out[idx] = p[idx] - lr * v_out[idx]
         new_params.append(p_out)
         new_vel.append(v_out)
     return tuple(new_params), tuple(new_vel)
@@ -112,7 +110,7 @@ def test_sgd_matches_scalar_loop_bit_exact():
     params = tuple(rng.normal(size=s) for s in shapes)
     grads = tuple(rng.normal(size=s) for s in shapes)
     velocity = tuple(rng.normal(size=s) for s in shapes)
-    args = (0.1, 0.9, 1e-4, (True, True, True), (True, False, True))
+    args = (0.1, 0.9, 1e-4)
     got_p, got_v = sgd_step(params, grads, velocity, *args)
     ref_p, ref_v = scalar_loop_oracle(params, grads, velocity, *args)
     for a, b in zip(got_p, ref_p):
@@ -122,18 +120,15 @@ def test_sgd_matches_scalar_loop_bit_exact():
 
 
 def test_sgd_leaves_its_inputs_alone():
-    # a decayed weight, an undecayed bias and a frozen weight
+    # a weight, which decays, and a bias, which does not
     rng = np.random.default_rng(42)
-    shapes = ((5, 4), (4,), (4, 3))
+    shapes = ((5, 4), (4,))
     params = tuple(rng.normal(size=s) for s in shapes)
     grads = tuple(rng.normal(size=s) for s in shapes)
     velocity = tuple(rng.normal(size=s) for s in shapes)
-    trainable = (True, True, False)
-    decayed = (True, False, True)
     before = [tuple(a.copy() for a in arrays)
               for arrays in (params, grads, velocity)]
-    new_p, new_v = sgd_step(params, grads, velocity, 0.1, 0.9, 1e-2,
-                            trainable, decayed)
+    new_p, new_v = sgd_step(params, grads, velocity, 0.1, 0.9, 1e-2)
     for arrays, copies in zip((params, grads, velocity), before):
         for a, c in zip(arrays, copies):
             assert np.array_equal(a, c)
@@ -142,9 +137,6 @@ def test_sgd_leaves_its_inputs_alone():
         for out in (new_p[k], new_v[k]):
             assert not any(np.shares_memory(out, a) for a in inputs)
         assert not np.shares_memory(new_p[k], new_v[k])
-    # a frozen parameter and its velocity are handed back unchanged
-    assert new_p[2] is params[2]
-    assert new_v[2] is velocity[2]
 
 
 def test_sgd_rejects_nonfinite_gradient():
@@ -159,47 +151,6 @@ def test_sgd_shape_mismatch():
     g = (np.zeros((2, 3)),)
     with pytest.raises(ShapeError):
         plain_step(p, g, (np.zeros((2, 2)),))
-    # every parameter needs a gradient, a velocity and both flags
-    with pytest.raises(ShapeError, match="counts differ: 1/1/1/2/1"):
-        sgd_step(p, p, p, 0.1, 0.9, 0.0, [True, True], [True])
-
-
-# --- masks ------------------------------------------------------------
-
-
-def small_net():
-    return init_network(NetworkSpec((4, 6, 3)), 1)
-
-
-def test_freeze_mask_shapes():
-    trainable, _ = train_masks((4, 6, 3), freeze_final=False)
-    assert trainable == [True, True, True]
-    masked, _ = train_masks((4, 6, 3), freeze_final=True)
-    assert masked[-1] is False  # decision weight
-    assert all(masked[:-1])
-
-
-def test_decay_mask_excludes_biases():
-    net = small_net()
-    _, mask = train_masks((4, 6, 3), freeze_final=False)
-    assert len(mask) == len(net.parameters())
-    for p, flag in zip(net.parameters(), mask):
-        assert flag == (p.ndim == 2)
-
-
-def test_frozen_parameter_bit_identical_across_steps():
-    net = small_net()
-    params = net.parameters()
-    velocity = tuple(np.zeros_like(p) for p in params)
-    trainable, decayed = train_masks((4, 6, 3), freeze_final=True)
-    rng = np.random.default_rng(41)
-    frozen_before = params[-1].copy()
-    for _ in range(20):
-        grads = tuple(rng.normal(size=p.shape) for p in params)
-        params, velocity = sgd_step(params, grads, velocity, 0.1, 0.9, 1e-4,
-                                    trainable, decayed)
-    assert np.array_equal(params[-1], frozen_before)
-    # frozen velocity never accumulates either
-    assert np.array_equal(velocity[-1], np.zeros_like(frozen_before))
-    # and the live parameters did move
-    assert not np.array_equal(params[0], net.parameters()[0])
+    # every parameter needs a gradient and a velocity
+    with pytest.raises(ShapeError, match="counts differ: 1/1/2"):
+        sgd_step(p, p, p + p, 0.1, 0.9, 0.0)
