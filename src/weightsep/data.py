@@ -11,6 +11,7 @@ real digit files are not on disk.
 
 import gzip
 import math
+import mmap
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,6 +63,24 @@ READ_CHUNK = 1 << 20
 
 # Rows write_idx scales at a time, so it holds no float copy of the dataset.
 WRITE_BLOCK_ROWS = 1024
+
+
+def _own_mapping(shape):
+    """A zeroed, writable, C-contiguous float64 array of ``shape`` on its own
+    private anonymous mapping.
+
+    Its pages go back to the OS when the last view of it dies. On the heap
+    they would not: once glibc's dynamic mmap threshold has risen past the
+    array's size, a freed block of that size stays resident. The pages are
+    faulted in up front, which costs less than one fault per page as the
+    array is first written.
+    """
+    count = math.prod(shape)
+    # mmap refuses a zero length, which an empty IDX file asks for.
+    buf = mmap.mmap(-1, max(8 * count, 1),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                    | getattr(mmap, "MAP_POPULATE", 0))
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
 def _read_exact(f, count, path, what):
@@ -126,7 +145,8 @@ def read_idx(images_path, labels_path):
             f"image/label count mismatch: {images_path} has {n_images}, "
             f"{labels_path} has {n_labels}"
         )
-    features = np.divide(pixels.reshape(n_images, rows * cols), 255.0)
+    features = _own_mapping((n_images, rows * cols))
+    np.divide(pixels.reshape(features.shape), 255.0, out=features)
     labels = raw_labels.astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(
@@ -159,7 +179,7 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
         pixels[start:start + WRITE_BLOCK_ROWS] = np.rint(block, out=block)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
+        f.write(pixels)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         f.write(ds.labels.astype(np.uint8).tobytes())
@@ -204,16 +224,15 @@ def synth_blobs(n_classes, per_class, dim, spread, seed):
     _check_counts(n_classes=n_classes, per_class=per_class, dim=dim)
     rand = generator(seed, STREAM_DATA, n_classes, per_class, dim)
     centers = rand.uniform(0.0, 1.0, size=(n_classes, dim))
-    features = np.empty((n_classes * per_class, dim))
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
-    for c in range(n_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        noise = rand.standard_normal((per_class, dim)) * spread
-        features[block] = np.clip(centers[c] + noise, 0.0, 1.0)
-        labels[block] = c
+    # One draw holds every class's noise; each class block then takes its
+    # center, in place, so no second array of the dataset's size is made.
+    features = rand.standard_normal((n_classes, per_class, dim))
+    features *= spread
+    features += centers[:, None]
+    features = features.reshape(n_classes * per_class, dim)
     return Dataset(
-        features=features,
-        labels=labels,
+        features=np.clip(features, 0.0, 1.0, out=features),
+        labels=np.repeat(np.arange(n_classes, dtype=np.int64), per_class),
         n_classes=n_classes,
     )
 
@@ -276,7 +295,7 @@ def synth_digits(per_class, seed):
     MB at any ``per_class``.
     """
     _check_counts(per_class=per_class)
-    features = np.zeros((10 * per_class, CANVAS_PIXELS))
+    features = _own_mapping((10 * per_class, CANVAS_PIXELS))
     block = min(per_class, RENDER_BLOCK_ROWS)
     jitter = np.empty((block, 3), dtype=np.int64)  # top, left, level
     strokes = np.empty((block, *_GLYPH_SHAPE), dtype=np.int64)

@@ -1,14 +1,17 @@
 import gzip
 import hashlib
+import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from tests.support import CORRUPT_GZIP
+from tests.support import CORRUPT_GZIP, ROOT, checkout_env
 from weightsep import (
     ConfigError,
     DataError,
@@ -56,6 +59,10 @@ def test_hand_authored_pair_decodes_exactly(tmp_path):
     img, lab = author_idx_pair(tmp_path, range(256), [0], rows=16, cols=16,
                                stem="all-bytes")
     assert np.array_equal(read_idx(img, lab).features[0], np.arange(256) / 255.0)
+    # A pair of zero images loads as an empty set.
+    img, lab = author_idx_pair(tmp_path, [], [], rows=28, cols=28,
+                               stem="empty")
+    assert read_idx(img, lab).features.shape == (0, 784)
 
 
 def test_wrong_magic_reports_expected_and_found(tmp_path):
@@ -375,15 +382,64 @@ def test_digits_hold_at_most_one_render_block_besides_the_features():
     # A block row holds the stroke variation (int64, float64 and its canvas
     # index), the speckle uniforms and intensities and two masks: about 3.5
     # float64 canvases. The bound allows 256 such rows; a renderer that drew
-    # a whole digit at once would hold 600.
+    # a whole digit at once would hold 600. The features live on their own
+    # mapping, which tracemalloc does not see, so the traced peak is the
+    # render buffers alone.
     row_bytes = 4 * 8 * CANVAS_PIXELS
     tracemalloc.start()
     try:
-        ds = synth_digits(per_class=600, seed=1)
+        synth_digits(per_class=600, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - ds.features.nbytes < 256 * row_bytes
+    assert peak < 256 * row_bytes
+
+
+def _vm_rss_bytes():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return 1024 * int(line.split()[1])
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+def freed_feature_rss(images_path, labels_path):
+    """Run in a fresh process: [(name, features.nbytes, resident bytes given
+    back when the dataset is freed)] for a rendered and an IDX-read set.
+
+    A 32 MB array is freed first. That raises glibc's dynamic mmap threshold
+    past the size of the feature arrays, so a feature array taken from the
+    heap would stay resident after it is freed.
+    """
+    np.ones(4_000_000)  # 32 MB, freed as soon as it is made
+    out = []
+    for name, build in (("synth_digits", lambda: synth_digits(100, seed=1)),
+                        ("read_idx", lambda: read_idx(images_path,
+                                                      labels_path))):
+        ds = build()
+        nbytes = ds.features.nbytes
+        held = _vm_rss_bytes()
+        del ds
+        out.append((name, nbytes, held - _vm_rss_bytes()))
+    return out
+
+
+def test_freed_features_go_back_to_the_os(tmp_path):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmRSS from")
+    images, labels = tmp_path / "img", tmp_path / "lab"
+    write_idx(synth_digits(100, seed=1), images, labels, (28, 28))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from tests import test_data; print(json.dumps("
+         f"test_data.freed_feature_rss({str(images)!r}, {str(labels)!r})))"],
+        capture_output=True, text=True, env=checkout_env(), cwd=ROOT,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, nbytes, given_back in json.loads(proc.stdout.splitlines()[-1]):
+        assert given_back >= 0.9 * nbytes, (
+            f"{name}: freeing {nbytes} feature bytes gave back {given_back}")
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2.5, 2.0, True, np.bool_(False),

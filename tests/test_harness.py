@@ -688,9 +688,14 @@ def test_checkpoint_nonfinite_weights_are_numeric_error(tmp_path, blob_run):
 def test_checkpoint_frozen_run_preserves_init(tmp_path, blobs_small):
     cfg = blob_config(freeze_final=True, final_init="semi_orthogonal", epochs=2)
     art = train(cfg, blobs_small)
+    write_run_artifact(art, tmp_path / "run")
+    back = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+    assert back.spec == art.network.spec
+    for a, b in zip(back.parameters(), art.network.parameters(), strict=True):
+        assert np.array_equal(a, b)
     fresh = ws.init_network(ws.NetworkSpec(cfg.layer_dims), cfg.seed,
                             final_init="semi_orthogonal")
-    assert np.array_equal(art.network.final_weight, fresh.final_weight)
+    assert np.array_equal(back.final_weight, fresh.final_weight)
 
 
 # --- similarity and PCA export ---------------------------------------
