@@ -1,7 +1,8 @@
 """Datasets: IDX container I/O, class filtering, synthetic fixtures, batching.
 
-Features are always row-per-sample float64 in [0, 1]; labels are contiguous
-integers below ``n_classes``.
+Features are row-per-sample, either float64 in [0, 1] or uint8 pixel codes,
+where a code k means the value k / 255; :meth:`Dataset.rows` gives either as
+float64. Labels are contiguous integers below ``n_classes``.
 
 Two synthetic generators cover offline work: isotropic Gaussian blobs for
 fast property tests, and a rendered-digit set (28 x 28 glyphs with placement
@@ -28,6 +29,14 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
+    """Samples as feature rows, with their labels.
+
+    ``features`` holds float64 values in [0, 1], or uint8 pixel codes, where
+    a code k means k / 255 (what :func:`read_idx` and :func:`synth_digits`
+    store). Read rows for arithmetic through :meth:`rows`, which decodes
+    codes; the network refuses a uint8 batch.
+    """
+
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
@@ -42,9 +51,11 @@ class Dataset:
                 f"label count {l.shape} != sample count {f.shape[0]}"
             )
         _check_labels(l, self.n_classes)
-        # NaN fails both comparisons, so the finiteness pass runs only to
-        # name the error of a set already out of range.
-        if f.size and not (f.min() >= 0.0 and f.max() <= 1.0):
+        # Every uint8 code decodes into [0, 1]. NaN fails both comparisons,
+        # so the finiteness pass runs only to name the error of a set already
+        # out of range.
+        if f.dtype != np.uint8 and f.size and not (
+                f.min() >= 0.0 and f.max() <= 1.0):
             if not np.isfinite(f).all():
                 raise NumericError("features contain non-finite values")
             raise DataError("features must lie in [0, 1]")
@@ -56,6 +67,14 @@ class Dataset:
     def dim(self):
         return self.features.shape[1]
 
+    def rows(self, index=slice(None)):
+        """``features[index]`` as float64 values: uint8 codes k are decoded
+        to k / 255, the same division for every row."""
+        rows = self.features[index]
+        if rows.dtype == np.uint8:
+            return np.divide(rows, 255.0)
+        return rows
+
 
 # Payloads are read in pieces of at most this many bytes, so a header
 # promising more than the stream holds never triggers one huge allocation.
@@ -65,9 +84,9 @@ READ_CHUNK = 1 << 20
 WRITE_BLOCK_ROWS = 1024
 
 
-def _own_mapping(shape):
-    """A zeroed, writable, C-contiguous float64 array of ``shape`` on its own
-    private anonymous mapping.
+def _own_mapping(shape, dtype):
+    """A zeroed, writable, C-contiguous ``dtype`` array of ``shape`` on its
+    own private anonymous mapping.
 
     Its pages go back to the OS when the last view of it dies. On the heap
     they would not: once glibc's dynamic mmap threshold has risen past the
@@ -77,10 +96,10 @@ def _own_mapping(shape):
     """
     count = math.prod(shape)
     # mmap refuses a zero length, which an empty IDX file asks for.
-    buf = mmap.mmap(-1, max(8 * count, 1),
+    buf = mmap.mmap(-1, max(np.dtype(dtype).itemsize * count, 1),
                     flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
                     | getattr(mmap, "MAP_POPULATE", 0))
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def _read_exact(f, count, path, what):
@@ -130,9 +149,10 @@ def _read_idx_array(path, expected_magic, n_dims, what):
 def read_idx(images_path, labels_path):
     """Load an image/label IDX file pair into a :class:`Dataset`.
 
-    Pixels are scaled by 1/255 and images flattened to rows. Each file's
-    big-endian header is checked (magic number, dimension sizes, exact
-    payload length), and the image and label counts must agree.
+    Pixels stay uint8 codes (see :class:`Dataset`) and images are flattened
+    to rows. Each file's big-endian header is checked (magic number,
+    dimension sizes, exact payload length), and the image and label counts
+    must agree.
     """
     (n_images, rows, cols), pixels = _read_idx_array(
         images_path, IDX_IMAGE_MAGIC, 3, "images"
@@ -145,8 +165,8 @@ def read_idx(images_path, labels_path):
             f"image/label count mismatch: {images_path} has {n_images}, "
             f"{labels_path} has {n_labels}"
         )
-    features = _own_mapping((n_images, rows * cols))
-    np.divide(pixels.reshape(features.shape), 255.0, out=features)
+    features = _own_mapping((n_images, rows * cols), np.uint8)
+    np.copyto(features, pixels.reshape(features.shape))
     labels = raw_labels.astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(
@@ -159,8 +179,9 @@ def read_idx(images_path, labels_path):
 def write_idx(ds, images_path, labels_path, image_shape=None):
     """Write a dataset back to an IDX image/label pair.
 
-    Features are scaled by 255 and rounded to bytes, so data that came from
-    :func:`read_idx` round-trips exactly. ``image_shape`` defaults to a
+    uint8 features are written as they are; float features are scaled by
+    255 and rounded to bytes, so data that came from :func:`read_idx` or
+    :func:`synth_digits` round-trips exactly. ``image_shape`` defaults to a
     single row per image.
     """
     n = len(ds)
@@ -173,10 +194,13 @@ def write_idx(ds, images_path, labels_path, image_shape=None):
         )
     if ds.n_classes > 256:
         raise FormatError("IDX labels are single bytes; need n_classes <= 256")
-    pixels = np.empty(ds.features.shape, dtype=np.uint8)
-    for start in range(0, n, WRITE_BLOCK_ROWS):
-        block = ds.features[start:start + WRITE_BLOCK_ROWS] * 255.0
-        pixels[start:start + WRITE_BLOCK_ROWS] = np.rint(block, out=block)
+    if ds.features.dtype == np.uint8:
+        pixels = np.ascontiguousarray(ds.features)
+    else:
+        pixels = np.empty(ds.features.shape, dtype=np.uint8)
+        for start in range(0, n, WRITE_BLOCK_ROWS):
+            block = ds.features[start:start + WRITE_BLOCK_ROWS] * 255.0
+            pixels[start:start + WRITE_BLOCK_ROWS] = np.rint(block, out=block)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
         f.write(pixels)
@@ -193,8 +217,8 @@ def _check_counts(**counts):
 
 def filter_classes(ds, keep):
     """Keep only samples of the listed classes, relabelled 0..k-1 in the
-    order given. ``keep`` lists Python or numpy integers; a bool or any
-    other entry raises :class:`DataError`."""
+    order given; the features keep their dtype. ``keep`` lists Python or
+    numpy integers; a bool or any other entry raises :class:`DataError`."""
     keep = list(keep)
     if not all(map(_is_int, keep)):
         raise DataError(f"classes to keep must be integers, got {keep}")
@@ -284,18 +308,20 @@ def synth_digits(per_class, seed):
 
     Glyphs are placed with +-3 pixel jitter, per-pixel intensity variation,
     and background speckle, giving a learnable but non-trivial image task
-    whose bytes survive an IDX round trip exactly.
+    whose bytes survive an IDX round trip exactly. The features are the
+    uint8 pixel codes (see :class:`Dataset`).
 
     Stream contract: sample ``j`` of ``digit`` draws only from its own
     ``generator(seed, STREAM_DATA, digit, j)``, in this order: the row
     jitter, the column jitter and the ink level (three scalars), the 21 x 15
     stroke variation, the 28 x 28 speckle uniforms and the 28 x 28 speckle
-    intensities. Samples are rendered in blocks of at most
+    intensities. The draws are int64, which fixes the stream, and are cast
+    to uint8 as they are copied in. Samples are rendered in blocks of at most
     ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a few
     MB at any ``per_class``.
     """
     _check_counts(per_class=per_class)
-    features = _own_mapping((10 * per_class, CANVAS_PIXELS))
+    features = _own_mapping((10 * per_class, CANVAS_PIXELS), np.uint8)
     block = min(per_class, RENDER_BLOCK_ROWS)
     jitter = np.empty((block, 3), dtype=np.int64)  # top, left, level
     strokes = np.empty((block, *_GLYPH_SHAPE), dtype=np.int64)
@@ -326,8 +352,8 @@ def synth_digits(per_class, seed):
                 body.reshape(n, -1))
             speckle = uniforms[:n] < 0.08
             speckle &= canvas == 0
-            np.copyto(canvas, intensities[:n], where=speckle)
-            np.divide(canvas, 255.0, out=canvas)
+            np.copyto(canvas, intensities[:n], casting="unsafe",
+                      where=speckle)
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(10, dtype=np.int64), per_class),
@@ -338,7 +364,8 @@ def synth_digits(per_class, seed):
 def batches(ds, batch_size, seed, epoch):
     """Yield (features, labels) batches for one epoch of ``ds``, in a fresh
     permutation derived from (seed, epoch): every sample appears exactly once
-    and the last batch may be short."""
+    and the last batch may be short. Features come decoded, as
+    :meth:`Dataset.rows` gives them."""
     n = len(ds)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
@@ -347,7 +374,7 @@ def batches(ds, batch_size, seed, epoch):
     perm = generator(seed, STREAM_BATCH, epoch).permutation(n)
     for start in range(0, n, batch_size):
         idx = perm[start : start + batch_size]
-        yield ds.features[idx], ds.labels[idx]
+        yield ds.rows(idx), ds.labels[idx]
 
 
 _MNIST_FILES = {

@@ -169,7 +169,7 @@ class RunArtifact:
 
 def evaluate_accuracy(net, ds):
     """Fraction of dataset samples whose top logit matches the label."""
-    trace = forward(net, ds.features)
+    trace = forward(net, ds.rows())
     return float(np.mean(decide_classes(trace.logits) == ds.labels))
 
 
@@ -267,7 +267,9 @@ def train(config, ds):
                     latent_grad = (
                         re_latent if latent_grad is None else latent_grad + re_latent
                     )
-                    w_grad = config.lam * re_w
+                    # Nothing applies a frozen decision weight's gradient.
+                    if not config.freeze_final:
+                        w_grad = config.lam * re_w
 
                 total = losses.total_loss(cls_value, re_value, config.lam)
                 if not math.isfinite(total):
@@ -306,7 +308,7 @@ def train(config, ds):
 
 def latent_features(net, ds):
     """Latent (decision-layer input) activations for every sample."""
-    return forward(net, ds.features).latent
+    return forward(net, ds.rows()).latent
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .linalg import qr_decompose
 from .rng import STREAM_INIT, generator
 
@@ -152,7 +152,12 @@ class ForwardTrace:
 
 
 def forward(net, batch):
-    """Run the network on a batch (rows are samples)."""
+    """Run the network on a batch (rows are samples). A uint8 batch holds
+    pixel codes, not values, and raises :class:`DataError`."""
+    batch = np.asarray(batch)
+    if batch.dtype == np.uint8:
+        raise DataError("forward: batch is uint8 pixel codes; decode its "
+                        "rows with Dataset.rows")
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError(f"forward: batch must be 2-D, got ndim={batch.ndim}")

@@ -50,15 +50,19 @@ def test_hand_authored_pair_decodes_exactly(tmp_path):
     img, lab = author_idx_pair(tmp_path, pixels, [3, 1], rows=2, cols=2)
     ds = read_idx(img, lab)
     assert ds.features.shape == (2, 4)
+    assert ds.features.dtype == np.uint8
+    assert ds.features.tobytes() == bytes(pixels)  # the payload, as stored
     assert np.array_equal(ds.labels, [3, 1])
     expect = np.array(pixels, dtype=np.float64).reshape(2, 4) / 255.0
-    assert np.array_equal(ds.features, expect)
-    assert ds.features[1, 1] == 1.0  # byte 255 maps to exactly 1.0
+    assert ds.rows().dtype == np.float64
+    assert np.array_equal(ds.rows(), expect)
+    assert ds.rows()[1, 1] == 1.0  # byte 255 maps to exactly 1.0
+    assert np.array_equal(ds.rows([1, 0]), expect[[1, 0]])
     assert ds.n_classes == 4
     # Every byte value decodes to exactly byte / 255.
     img, lab = author_idx_pair(tmp_path, range(256), [0], rows=16, cols=16,
                                stem="all-bytes")
-    assert np.array_equal(read_idx(img, lab).features[0], np.arange(256) / 255.0)
+    assert np.array_equal(read_idx(img, lab).rows()[0], np.arange(256) / 255.0)
     # A pair of zero images loads as an empty set.
     img, lab = author_idx_pair(tmp_path, [], [], rows=28, cols=28,
                                stem="empty")
@@ -196,9 +200,15 @@ def test_idx_round_trip(tmp_path):
     lab = tmp_path / "digits-labels.idx"
     write_idx(ds, img, lab, image_shape=(28, 28))
     back = read_idx(img, lab)
-    # synth pixels are byte-quantized already, so the trip is exact
+    # Both hold the pixel codes, and write_idx writes them as they are.
+    assert back.features.dtype == ds.features.dtype == np.uint8
     assert np.array_equal(back.features, ds.features)
+    assert img.read_bytes()[16:] == ds.features.tobytes()
     assert np.array_equal(back.labels, ds.labels)
+    # A strided uint8 view is written in row order all the same.
+    half = Dataset(ds.features[:, ::2], ds.labels, ds.n_classes)
+    write_idx(half, img, lab, image_shape=(28, 14))
+    assert np.array_equal(read_idx(img, lab).features, half.features)
 
 
 def test_dataset_validation():
@@ -207,6 +217,10 @@ def test_dataset_validation():
         Dataset(feats, np.array([0, 1, 3]), 3)
     with pytest.raises(DataError):
         Dataset(feats + 2.0, np.array([0, 1, 2]), 3)
+    # uint8 features are codes k / 255, all in range, and need no scan.
+    codes = Dataset(np.full((3, 2), 255, dtype=np.uint8), np.array([0, 1, 2]),
+                    3)
+    assert np.array_equal(codes.rows(), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -247,8 +261,9 @@ def test_filter_remaps_in_keep_order():
     assert set(np.unique(out.labels)) == {0, 1, 2}
     new = {0: 0, 1: 1, 5: 2}
     assert out.labels.tolist() == [new[c] for c in ds.labels.tolist() if c in new]
-    # features preserved bit-exactly for the kept samples
+    # features preserved bit-exactly for the kept samples, still as codes
     kept = np.isin(ds.labels, (0, 1, 5))
+    assert out.features.dtype == np.uint8
     assert np.array_equal(out.features, ds.features[kept])
 
 
@@ -316,8 +331,9 @@ def test_digits_shape_and_determinism():
     a = synth_digits(per_class=3, seed=8)
     b = synth_digits(per_class=3, seed=8)
     assert a.features.shape == (30, 784)
+    assert a.features.dtype == np.uint8
     assert np.array_equal(a.features, b.features)
-    assert a.features.min() >= 0.0 and a.features.max() <= 1.0
+    assert a.rows().min() >= 0.0 and a.rows().max() <= 1.0
     assert np.array_equal(np.sort(np.unique(a.labels)), np.arange(10))
     c = synth_digits(per_class=3, seed=9)
     assert not np.array_equal(a.features, c.features)
@@ -325,16 +341,19 @@ def test_digits_shape_and_determinism():
 
 def test_digits_bytes_are_pinned():
     # Recorded before the glyph scale-ups were built once per module.
+    # The digests are of the decoded float64 rows, recorded when the
+    # features were stored decoded.
     ds = synth_digits(per_class=3, seed=5)
-    assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
-    assert hashlib.sha256(ds.features.tobytes()).hexdigest() == (
+    assert ds.features.dtype == np.uint8 and ds.labels.dtype == np.int64
+    assert ds.rows().dtype == np.float64
+    assert hashlib.sha256(ds.rows().tobytes()).hexdigest() == (
         "5829fc568daf40daa775de41034ad43db8fa8ae0ed8a5b67ebbe1aa874467eb8")
     assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
         "96c8c1fb23425f25e947b5a6706bf75d0779bc56c2f952ba7397350fc1e1f111")
     # Recorded with the per-sample renderer; 300 rows of a digit cross the
     # first render-block boundary.
     ds = synth_digits(per_class=300, seed=5)
-    assert hashlib.sha256(ds.features.tobytes()).hexdigest() == (
+    assert hashlib.sha256(ds.rows().tobytes()).hexdigest() == (
         "66d416313e7285cd00882bc505b8840a99ded4e8cf2ccd2e837b87ee89d74aed")
     assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
         "10ec2f774651d4417a800af7cd0c932985a4ba69d04230047d3c28435bf20d18")
@@ -368,7 +387,7 @@ def render_digit(digit, rand):
 def test_digits_equal_the_per_sample_renderer(per_class, seed):
     ds = synth_digits(per_class, seed)
     for digit in range(10):
-        rows = ds.features[digit * per_class:(digit + 1) * per_class]
+        rows = ds.rows(slice(digit * per_class, (digit + 1) * per_class))
         want = np.stack([
             render_digit(digit, generator(seed, STREAM_DATA, digit, j))
             for j in range(per_class)])
@@ -524,6 +543,28 @@ def test_batch_plan_validation():
         list(batches(ds, 7, 0, epoch=0))
 
 
+def test_an_epoch_of_batches_holds_no_float_copy_of_the_split(tmp_path):
+    import tracemalloc
+
+    images, labels = tmp_path / "img", tmp_path / "lab"
+    write_idx(synth_digits(300, seed=3), images, labels, (28, 28))
+    ds = read_idx(images, labels)
+    assert ds.features.dtype == np.uint8
+    seen = 0
+    tracemalloc.start()
+    try:
+        for feats, _ in batches(ds, 128, seed=0, epoch=0):
+            assert feats.dtype == np.float64
+            seen += len(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == len(ds)
+    # Each batch is decoded alone: two batches at a time come to about 1.8
+    # MB, where a float64 copy of the 3,000-row split is 18.8 MB.
+    assert peak < len(ds) * ds.dim * 8 / 4
+
+
 # --- directory loader -------------------------------------------------
 
 
@@ -551,7 +592,7 @@ def test_write_idx_bytes_equal_one_shot_conversion(tmp_path):
     img, lab = tmp_path / "img", tmp_path / "lab"
     write_idx(ds, img, lab, image_shape=(2, 3))
     header = struct.pack(">IIII", 0x00000803, len(ds), 2, 3)
-    one_shot = np.rint(ds.features * 255.0).astype(np.uint8).tobytes()
+    one_shot = np.rint(ds.rows() * 255.0).astype(np.uint8).tobytes()
     assert img.read_bytes() == header + one_shot
 
 

@@ -258,6 +258,23 @@ def test_freeze_final_keeps_the_decision_weight_out_of_sgd(blobs_small,
         assert not np.array_equal(p, p0)
 
 
+def test_freeze_final_hands_backward_no_decision_weight_seed(blobs_small,
+                                                             monkeypatch):
+    seeds = []
+    backward = harness.backward
+
+    def recording(net, trace, logit_grad, latent_grad=None, w_grad=None):
+        seeds.append((latent_grad is not None, w_grad is not None))
+        return backward(net, trace, logit_grad, latent_grad, w_grad)
+
+    monkeypatch.setattr(harness, "backward", recording)
+    for freeze in (True, False):
+        seeds.clear()
+        train(blob_config(freeze_final=freeze, use_reconstruction=True,
+                          epochs=1), blobs_small)
+        assert seeds and set(seeds) == {(True, not freeze)}
+
+
 def test_center_loss_variant_runs(blobs_small):
     art = train(blob_config(loss="softmax_ce_plus_center", epochs=5),
                 blobs_small)
@@ -696,6 +713,27 @@ def test_checkpoint_frozen_run_preserves_init(tmp_path, blobs_small):
     fresh = ws.init_network(ws.NetworkSpec(cfg.layer_dims), cfg.seed,
                             final_init="semi_orthogonal")
     assert np.array_equal(back.final_weight, fresh.final_weight)
+
+
+def test_training_on_pixel_codes_equals_training_on_their_rows(tmp_path):
+    codes = ws.synth_digits(per_class=20, seed=3)
+    floats = ws.Dataset(codes.rows(), codes.labels, codes.n_classes)
+    assert codes.features.dtype == np.uint8
+    assert floats.features.dtype == np.float64
+    cfg = TrainConfig(layer_dims=(784, 16, 10), epochs=2, seed=4,
+                      batch_size=32, use_reconstruction=True, lam=0.01)
+    nets = []
+    for name, ds in (("codes", codes), ("floats", floats)):
+        art = train(cfg, ds)
+        write_run_artifact(art, tmp_path / name)
+        nets.append(art.network)
+    for name in ("metrics.csv", "config.txt", "checkpoint.bin"):
+        assert ((tmp_path / "codes" / name).read_bytes()
+                == (tmp_path / "floats" / name).read_bytes()), name
+    assert np.array_equal(harness.latent_features(nets[0], codes),
+                          harness.latent_features(nets[0], floats))
+    assert (harness.evaluate_accuracy(nets[0], codes)
+            == harness.evaluate_accuracy(nets[0], floats))
 
 
 # --- similarity and PCA export ---------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import weightsep as ws
 from weightsep import (
     ConfigError,
+    DataError,
     Network,
     NetworkSpec,
     ShapeError,
@@ -103,6 +104,14 @@ def test_forward_width_mismatch():
     net = tiny_net((5, 7, 3))
     with pytest.raises(ShapeError):
         forward(net, np.zeros((2, 4)))
+
+
+def test_forward_refuses_pixel_codes():
+    ds = ws.synth_digits(per_class=1, seed=3)
+    net = tiny_net((784, 8, 10))
+    with pytest.raises(DataError, match="Dataset.rows"):
+        forward(net, ds.features)
+    assert forward(net, ds.rows()).logits.shape == (10, 10)
 
 
 def test_logits_are_latent_times_w():
