@@ -40,6 +40,7 @@ EXIT_CODES = {
     "format": 3,
     "numeric": 4,
     "singular": 4,
+    "memory": 6,
     "error": 1,
 }
 
@@ -349,6 +350,9 @@ def main(argv=None):
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)
         return 5
+    except MemoryError as e:
+        print(f"error:memory: {e}", file=sys.stderr)
+        return EXIT_CODES["memory"]
 
 
 if __name__ == "__main__":

@@ -103,20 +103,34 @@ def _own_mapping(shape, dtype):
 
 
 def _read_exact(f, count, path, what):
-    """Read ``count`` bytes in bounded chunks: a header promising a huge
-    payload fails as truncated, not in one huge allocation, on any stream."""
-    data = bytearray()
-    while len(data) < count:
-        chunk = f.read(min(READ_CHUNK, count - len(data)))
+    """``count`` bytes of ``f`` as a uint8 array on its own mapping (see
+    :func:`_own_mapping`).
+
+    The stream is read in chunks of at most ``READ_CHUNK`` bytes, and the
+    array is made only once they add up to ``count``: a header promising a
+    huge payload fails as truncated, not in one huge allocation, on any
+    stream. The chunks are copied into the array, not joined first, which
+    would fault in a second payload-sized block.
+    """
+    chunks = []
+    got = 0
+    while got < count:
+        chunk = f.read(min(READ_CHUNK, count - got))
         if not chunk:
             break
-        data += chunk
-    if len(data) != count:
+        chunks.append(chunk)
+        got += len(chunk)
+    if got != count:
         raise FormatError(
             f"{path}: truncated while reading {what} "
-            f"(wanted {count} bytes, got {len(data)})"
+            f"(wanted {count} bytes, got {got})"
         )
-    return data
+    out = _own_mapping((count,), np.uint8)
+    got = 0
+    for chunk in chunks:
+        out[got:got + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+        got += len(chunk)
+    return out
 
 
 def _open_binary(path):
@@ -143,7 +157,7 @@ def _read_idx_array(path, expected_magic, n_dims, what):
     # What gzip raises on a cut-short, damaged or non-gzip ``.gz`` file.
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise FormatError(f"{path}: corrupt gzip stream: {e}") from e
-    return dims, np.frombuffer(payload, dtype=np.uint8)
+    return dims, payload
 
 
 def read_idx(images_path, labels_path):
@@ -165,12 +179,10 @@ def read_idx(images_path, labels_path):
             f"image/label count mismatch: {images_path} has {n_images}, "
             f"{labels_path} has {n_labels}"
         )
-    features = _own_mapping((n_images, rows * cols), np.uint8)
-    np.copyto(features, pixels.reshape(features.shape))
     labels = raw_labels.astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(
-        features=features,
+        features=pixels.reshape(n_images, rows * cols),
         labels=labels,
         n_classes=n_classes,
     )
@@ -293,14 +305,44 @@ _SCALED_GLYPHS = tuple(_scaled_glyph(_GLYPHS[d]) for d in range(10))
 
 # The most samples of one digit synth_digits renders together: bounds its
 # buffers at any ``per_class``.
-RENDER_BLOCK_ROWS = 256
+RENDER_BLOCK_ROWS = 128
 
 _GLYPH_SHAPE = _SCALED_GLYPHS[0].shape
+_STROKES = math.prod(_GLYPH_SHAPE)
 # Flat canvas index of each glyph pixel when the glyph sits at (0, 0).
 _GLYPH_OFFSETS = (
     DIGIT_SIDE * np.arange(_GLYPH_SHAPE[0])[:, None]
     + np.arange(_GLYPH_SHAPE[1])
 ).reshape(-1)
+
+# One sample's stream as 64-bit words (see synth_digits): the bounded draws
+# before the speckle uniforms, two to a word, then one word per uniform,
+# then the intensities, two to a word. The 318 head draws fill their words,
+# so PCG64 keeps no spare half for the intensities.
+_HEAD_WORDS = (3 + _STROKES) // 2
+_SPECKLE_END = _HEAD_WORDS + CANVAS_PIXELS
+_STREAM_WORDS = _SPECKLE_END + CANVAS_PIXELS // 2
+# Range and lowest value of each head draw: row and column jitter, ink
+# level, strokes.
+_HEAD_RANGES = np.array([7, 7, 106] + [60] * _STROKES, dtype=np.uint64)
+_HEAD_LOWS = np.array([-3, -3, 150] + [0] * _STROKES, dtype=np.int64)
+# A bounded 32-bit draw u in range n is (u * n) >> 32, and is redrawn when
+# the low 32 bits of u * n fall below (2**32 - n) % n.
+_HEAD_REDRAW_BELOW = (2**32 - _HEAD_RANGES) % _HEAD_RANGES
+_MASK32 = np.uint64(0xFFFFFFFF)
+# A uniform is (w >> 11) * 2**-53, so it is below 0.08 exactly when the
+# word w is below this.
+_SPECKLE_BELOW = np.uint64(math.ceil(0.08 * 2**53) << 11)
+
+
+def _halves(words):
+    """The 32-bit draws PCG64 hands out from ``words``, low half first, in
+    the last axis. Shifts and masks, so the host's byte order plays no
+    part."""
+    out = np.empty((*words.shape, 2), dtype=np.uint64)
+    np.bitwise_and(words, _MASK32, out=out[..., 0])
+    np.right_shift(words, 32, out=out[..., 1])
+    return out.reshape(*words.shape[:-1], -1)
 
 
 def synth_digits(per_class, seed):
@@ -312,48 +354,64 @@ def synth_digits(per_class, seed):
     uint8 pixel codes (see :class:`Dataset`).
 
     Stream contract: sample ``j`` of ``digit`` draws only from its own
-    ``generator(seed, STREAM_DATA, digit, j)``, in this order: the row
-    jitter, the column jitter and the ink level (three scalars), the 21 x 15
-    stroke variation, the 28 x 28 speckle uniforms and the 28 x 28 speckle
-    intensities. The draws are int64, which fixes the stream, and are cast
-    to uint8 as they are copied in. Samples are rendered in blocks of at most
-    ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a few
-    MB at any ``per_class``.
+    ``generator(seed, STREAM_DATA, digit, j)``, in this order, by these
+    ``Generator`` calls, which are the oracle for the bytes:
+    ``integers(-3, 4)`` twice (row and column jitter), ``integers(150,
+    256)`` (ink level), ``integers(0, 60, size=(21, 15))`` (stroke
+    variation), ``random(784)`` (speckle uniforms) and ``integers(0, 64,
+    size=784)`` (speckle intensities).
+
+    The renderer reads those draws from the stream's first 1,335 raw 64-bit
+    words instead. Each bounded draw takes one 32-bit half of a word, low
+    half first: words 0-158 carry the 318 draws up to the strokes, words
+    159-942 the uniforms, one each, and words 943-1334 the intensities. A
+    draw u in a range of n values is ``(u * n) >> 32``. ``integers``
+    redraws it when the low 32 bits of ``u * n`` fall below ``(2**32 - n)
+    % n``, which moves every later draw; a sample with such a draw is drawn
+    again by the ``Generator`` calls. Samples are rendered in blocks of at
+    most ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a
+    few MB at any ``per_class``.
     """
     _check_counts(per_class=per_class)
     features = _own_mapping((10 * per_class, CANVAS_PIXELS), np.uint8)
     block = min(per_class, RENDER_BLOCK_ROWS)
-    jitter = np.empty((block, 3), dtype=np.int64)  # top, left, level
-    strokes = np.empty((block, *_GLYPH_SHAPE), dtype=np.int64)
-    uniforms = np.empty((block, CANVAS_PIXELS))
-    intensities = np.empty((block, CANVAS_PIXELS), dtype=np.int64)
+    words = np.empty((block, _STREAM_WORDS), dtype=np.uint64)
     for digit in range(10):
         for start in range(0, per_class, block):
             n = min(block, per_class - start)
-            # The seeded draws, one generator per sample, in stream order.
             for b in range(n):
+                words[b] = generator(
+                    seed, STREAM_DATA, digit, start + b
+                ).bit_generator.random_raw(_STREAM_WORDS)
+            head = _halves(words[:n, :_HEAD_WORDS])
+            head *= _HEAD_RANGES
+            redrawn = (head & _MASK32) < _HEAD_REDRAW_BELOW
+            head >>= 32
+            head = head.view(np.int64)
+            head += _HEAD_LOWS  # top, left, level, strokes
+            speckle = words[:n, _HEAD_WORDS:_SPECKLE_END] < _SPECKLE_BELOW
+            # A range of 64 never redraws, and (u * 64) >> 32 is u >> 26.
+            intensities = _halves(words[:n, _SPECKLE_END:])
+            intensities >>= 26
+            for b in np.flatnonzero(redrawn.any(axis=1)):
                 rand = generator(seed, STREAM_DATA, digit, start + b)
-                jitter[b, 0] = rand.integers(-3, 4)
-                jitter[b, 1] = rand.integers(-3, 4)
-                jitter[b, 2] = rand.integers(150, 256)
-                strokes[b] = rand.integers(0, 60, size=_GLYPH_SHAPE)
-                rand.random(out=uniforms[b])
+                head[b, 0] = rand.integers(-3, 4)
+                head[b, 1] = rand.integers(-3, 4)
+                head[b, 2] = rand.integers(150, 256)
+                head[b, 3:] = rand.integers(0, 60, size=_STROKES)
+                speckle[b] = rand.random(CANVAS_PIXELS) < 0.08
                 intensities[b] = rand.integers(0, 64, size=CANVAS_PIXELS)
-            # The rest has no draw in it and runs over the whole block.
-            s = strokes[:n]
-            np.subtract(jitter[:n, 2, None, None], s, out=s)
+            s = head[:, 3:]
+            np.subtract(head[:, 2, None], s, out=s)
             np.clip(s, 0, 255, out=s)
-            body = _SCALED_GLYPHS[digit] * s
+            body = _SCALED_GLYPHS[digit].reshape(-1) * s
             first = digit * per_class + start
             canvas = features[first:first + n]
             corner = (np.arange(n) * CANVAS_PIXELS
-                      + DIGIT_SIDE * (3 + jitter[:n, 0]) + 6 + jitter[:n, 1])
-            canvas.reshape(-1)[corner[:, None] + _GLYPH_OFFSETS] = (
-                body.reshape(n, -1))
-            speckle = uniforms[:n] < 0.08
+                      + DIGIT_SIDE * (3 + head[:, 0]) + 6 + head[:, 1])
+            canvas.reshape(-1)[corner[:, None] + _GLYPH_OFFSETS] = body
             speckle &= canvas == 0
-            np.copyto(canvas, intensities[:n], casting="unsafe",
-                      where=speckle)
+            np.copyto(canvas, intensities, casting="unsafe", where=speckle)
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(10, dtype=np.int64), per_class),

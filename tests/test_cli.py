@@ -866,3 +866,26 @@ def test_python_dash_m_runs_without_install(tmp_path):
     )
     assert bad.returncode == 5
     assert bad.stderr.startswith("error:io:")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+def test_an_unallocatable_network_is_a_memory_error(tmp_path):
+    # The child caps its own address space at 2 GB before importing
+    # weightsep, so a layer it cannot hold fails to allocate and nothing
+    # large is ever touched. One BLAS thread keeps the import's own
+    # reservations small on a many-core host.
+    argv = ["train", "--data", "blobs", "--layer-dims",
+            "32,1000000000000,10", "--epochs", "1",
+            "--out", str(tmp_path / "run")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+         "from weightsep.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=checkout_env(**SINGLE_THREAD_ENV),
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_CODES["memory"] == 6, proc.stderr
+    assert proc.stderr.startswith("error:memory:")
+    assert "Traceback" not in proc.stderr

@@ -27,7 +27,12 @@ from weightsep import (
     synth_digits,
     write_idx,
 )
-from weightsep.data import _SCALED_GLYPHS, CANVAS_PIXELS, DIGIT_SIDE
+from weightsep.data import (
+    _SCALED_GLYPHS,
+    CANVAS_PIXELS,
+    DIGIT_SIDE,
+    RENDER_BLOCK_ROWS,
+)
 from weightsep.rng import STREAM_DATA, check_seed, generator
 
 
@@ -383,6 +388,11 @@ def render_digit(digit, rand):
 @pytest.mark.parametrize("per_class, seed", [
     (1, 0), (1, 2**64 - 1), (3, 5), (3, 12), (255, 1), (256, 2), (257, 3),
     (300, 2**64 - 1),
+    # Digit 3, sample 0 of each has a jitter, level or stroke draw that
+    # integers() redraws.
+    (1, 15451), (1, 19849),
+    (RENDER_BLOCK_ROWS - 1, 4), (RENDER_BLOCK_ROWS, 6),
+    (RENDER_BLOCK_ROWS + 1, 7),
 ])
 def test_digits_equal_the_per_sample_renderer(per_class, seed):
     ds = synth_digits(per_class, seed)
@@ -398,12 +408,12 @@ def test_digits_equal_the_per_sample_renderer(per_class, seed):
 def test_digits_hold_at_most_one_render_block_besides_the_features():
     import tracemalloc
 
-    # A block row holds the stroke variation (int64, float64 and its canvas
-    # index), the speckle uniforms and intensities and two masks: about 3.5
-    # float64 canvases. The bound allows 256 such rows; a renderer that drew
-    # a whole digit at once would hold 600. The features live on their own
-    # mapping, which tracemalloc does not see, so the traced peak is the
-    # render buffers alone.
+    # A block row holds the sample's 1,335 raw stream words, its intensities
+    # as 64-bit halves, the head draws, the glyph body and its canvas index
+    # and two masks: about 4.2 float64 canvases. The bound allows 256 rows
+    # of 4 canvases; a renderer that drew a whole digit at once would hold
+    # 600 rows. The features live on their own mapping, which tracemalloc
+    # does not see, so the traced peak is the render buffers alone.
     row_bytes = 4 * 8 * CANVAS_PIXELS
     tracemalloc.start()
     try:
