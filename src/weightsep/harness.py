@@ -5,11 +5,11 @@ loss-menu comparison, activation-vs-weight similarity).
 Every run is fully determined by its config: the seed drives parameter
 init, batch order, and any synthetic data, so identical configs replay
 bit-identically. The decision-column separability score is logged for every
-step in its Frobenius form, computed in one stacked pass at each epoch end
-over the epoch's decision weights (steps x latent width x classes float64
-values). That pass also computes the trace form and alone compares the two,
-once per step, naming a failing step; the final report is the last
-weight's, checked there.
+step in its Frobenius form, computed in stacked passes over the held
+decision weights, at each epoch end and whenever ``EPSILON_PASS_STEPS`` of
+them wait (steps x latent width x classes float64 values). Those passes also
+compute the trace form and alone compare the two, once per step, naming a
+failing step; the final report is the last weight's, checked there.
 """
 
 import csv
@@ -54,6 +54,14 @@ LOSS_KINDS = ("softmax_ce", "softmax_ce_plus_center")
 # Both separability forms are evaluated for every step, each from one error
 # matrix; they must agree to this tolerance or the run aborts.
 EPSILON_FORM_TOL = 1e-9
+
+# Steps whose decision weights train holds before one stacked ε pass scores
+# them, so a small batch size does not hold an epoch of weights.
+EPSILON_PASS_STEPS = 256
+
+# Rows a whole-split forward pass decodes at a time, so evaluation and latent
+# export hold no float copy of a uint8 split.
+EVAL_BLOCK_ROWS = 128
 
 
 # What a value must be for each TrainConfig field type, and a test for it.
@@ -167,10 +175,24 @@ class RunArtifact:
     report: object
 
 
+def _forward_blocks(net, ds):
+    """Yield ``(rows, trace)`` for each slice ``rows`` of ``EVAL_BLOCK_ROWS``
+    rows of ``ds``, in row order: each block is decoded and run through
+    :func:`forward` alone."""
+    for start in range(0, len(ds), EVAL_BLOCK_ROWS):
+        rows = slice(start, start + EVAL_BLOCK_ROWS)
+        yield rows, forward(net, ds.rows(rows))
+
+
 def evaluate_accuracy(net, ds):
-    """Fraction of dataset samples whose top logit matches the label."""
-    trace = forward(net, ds.rows())
-    return float(np.mean(decide_classes(trace.logits) == ds.labels))
+    """Fraction of dataset samples whose top logit matches the label. A
+    split with no rows has no accuracy and raises :class:`DataError`."""
+    if not len(ds):
+        raise DataError("cannot evaluate accuracy on a split with no rows")
+    hits = 0
+    for rows, trace in _forward_blocks(net, ds):
+        hits += np.count_nonzero(decide_classes(trace.logits) == ds.labels[rows])
+    return hits / len(ds)
 
 
 def _score_pending(pending, records):
@@ -201,10 +223,11 @@ def train(config, ds):
     """Run the configured training loop on ``ds``.
 
     Appends one :class:`MetricRecord` per step (batch loss parts, batch
-    accuracy, decision-column separability). The separability of every step's
-    decision weight is computed in one pass at the epoch end, so the loop
-    holds one epoch of decision weights until then; that pass checks each
-    step's forms. ``report`` is the final weight's report.
+    accuracy, decision-column separability). The separability of the steps'
+    decision weights is computed in one pass at each epoch end, and whenever
+    ``EPSILON_PASS_STEPS`` weights wait, so the loop holds at most that many;
+    each pass checks each step's forms. ``report`` is the final weight's
+    report.
 
     A ``layer_dims`` that does not fit ``ds`` raises :class:`ConfigError`,
     and a decision layer with more classes than latent units raises
@@ -236,8 +259,8 @@ def train(config, ds):
         centers = np.zeros((spec.n_classes, spec.latent_dim))
 
     records = []
-    # Steps awaiting ε at the epoch end: their record fields, then the
-    # decision weight each produced, uncopied (sgd_step never mutates one).
+    # Steps awaiting ε: their record fields, then the decision weight each
+    # produced, uncopied (sgd_step never mutates one).
     pending = []
     step = 0
     try:
@@ -292,6 +315,8 @@ def train(config, ds):
                 pending.append((step, epoch, cls_value, re_value, total,
                                 batch_acc, net.final_weight))
                 step += 1
+                if len(pending) >= EPSILON_PASS_STEPS:
+                    _score_pending(pending, records)
             _score_pending(pending, records)
     finally:
         # A step that raised leaves the steps before it unscored; a bad form
@@ -308,7 +333,10 @@ def train(config, ds):
 
 def latent_features(net, ds):
     """Latent (decision-layer input) activations for every sample."""
-    return forward(net, ds.rows()).latent
+    latents = np.empty((len(ds), net.spec.latent_dim))
+    for rows, trace in _forward_blocks(net, ds):
+        latents[rows] = trace.latent
+    return latents
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Callers outside the package: the demo scripts and the benchmark's tracer.
 
 Each reaches the package through names that a refactor can remove; these
-tests fail in the suite rather than in a demo run or a benchmark run.
+tests fail in the suite rather than in a demo run or a benchmark run. A scan
+of the package's own source keeps whole-split decodes out of it.
 """
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -71,6 +73,21 @@ def test_pca_export_goes_through_the_traced_eigensolver(tmp_path):
     traced = ("harness.export_pca", "linalg.pca_reduce", "linalg.jacobi_eigh")
     assert {name: tracer.calls[name] for name in traced} == \
         dict.fromkeys(traced, 1)
+
+
+def test_no_package_code_decodes_a_whole_split():
+    # ``ds.rows()`` with no index decodes every row of a split to float64,
+    # eight bytes a pixel code. The package decodes a batch or a block of
+    # rows at a time; this finds a whole-split decode that comes back.
+    found = []
+    for path in sorted((ROOT / "src" / "weightsep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "rows"
+                    and not node.args and not node.keywords):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"whole-split .rows() calls at {', '.join(found)}"
 
 
 # digits_trend is left out: it trains the 30-epoch recipe (about 5 s).

@@ -721,6 +721,29 @@ def test_missing_data_dir_mentions_fetch_url(tmp_path):
     assert "http" in err
 
 
+def test_an_empty_test_split_is_a_data_error(tmp_path):
+    # A valid train pair and a t10k pair of no images: the test accuracy of
+    # no rows is a typed error, not a nan after numpy's warnings. A child
+    # process, so that those warnings would reach its stderr.
+    data_dir = tmp_path / "idx"
+    data_dir.mkdir()
+    author_digit_dir(data_dir)
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
+    write_idx(empty, data_dir / "t10k-images-idx3-ubyte",
+              data_dir / "t10k-labels-idx1-ubyte", image_shape=(2, 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weightsep", "train", "--data", str(data_dir),
+         "--layer-dims", "4,8,3", "--epochs", "1", "--seed", "1",
+         "--batch-size", "16", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=checkout_env(**SINGLE_THREAD_ENV),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:data:")
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def save_initial_checkpoint(path, dims):
     net = weightsep.init_network(weightsep.NetworkSpec(dims), seed=0)
     harness.save_checkpoint(net, path)

@@ -420,6 +420,36 @@ def test_first_bad_epsilon_step_of_an_epoch_is_named(blobs_small, monkeypatch):
         train(blob_config(epochs=1), blobs_small)
 
 
+def test_a_batch_1_epoch_holds_decision_weights_up_to_the_cap():
+    import tracemalloc
+
+    # 1,200 batch-1 steps in one epoch, each leaving a 256 x 10 decision
+    # weight of 20 KB: 24.6 MB held for one epoch-end pass, and as much again
+    # for its stack. Scoring every EPSILON_PASS_STEPS steps holds a fifth.
+    ds = ws.synth_blobs(n_classes=10, per_class=120, dim=32, spread=0.05,
+                        seed=5)
+    config = TrainConfig(layer_dims=(32, 256, 10), epochs=1, seed=0,
+                         batch_size=1)
+    weight_bytes = 256 * 10 * 8
+    assert len(ds) > 4 * harness.EPSILON_PASS_STEPS
+    tracemalloc.start()
+    try:
+        steps = len(train(config, ds).records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == len(ds)
+    assert peak < 3 * harness.EPSILON_PASS_STEPS * weight_bytes
+
+
+def test_epsilon_pass_cap_keeps_the_metric_log_bytes(blobs_small, monkeypatch):
+    # 8 steps an epoch, scored in passes of 3, 3 and 2 under a cap of 3.
+    config = blob_config(epochs=3, use_reconstruction=True)
+    default = metrics_to_csv(train(config, blobs_small).records)
+    monkeypatch.setattr(harness, "EPSILON_PASS_STEPS", 3)
+    assert metrics_to_csv(train(config, blobs_small).records) == default
+
+
 def test_batch_accuracy_equals_float_mean(blobs_small, monkeypatch):
     # Each record's accuracy must equal float(np.mean(pred == labels)) for
     # the batch it was computed on, at a batch size that divides inexactly.
@@ -734,6 +764,66 @@ def test_training_on_pixel_codes_equals_training_on_their_rows(tmp_path):
                           harness.latent_features(nets[0], floats))
     assert (harness.evaluate_accuracy(nets[0], codes)
             == harness.evaluate_accuracy(nets[0], floats))
+
+
+@pytest.fixture(scope="module")
+def digits_net():
+    """A 784-64-10 network after one epoch on a small digits split."""
+    config = TrainConfig(layer_dims=(784, 64, 10), epochs=1, seed=2,
+                         batch_size=32)
+    return train(config, ws.synth_digits(per_class=20, seed=3)).network
+
+
+def whole_split(net, ds):
+    """Latents and accuracy from one forward call over every row."""
+    trace = ws.forward(net, ds.rows())
+    accuracy = float(np.mean(ws.decide_classes(trace.logits) == ds.labels))
+    return trace.latent, accuracy
+
+
+def test_blocked_evaluation_holds_no_float_copy_of_the_split(digits_net):
+    import tracemalloc
+
+    ds = ws.synth_digits(per_class=300, seed=3)
+    assert ds.features.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        harness.evaluate_accuracy(digits_net, ds)
+        latents = harness.latent_features(digits_net, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert latents.shape == (len(ds), 64)
+    # Two 128-row blocks and the latents come to about 3.1 MB, where a
+    # float64 copy of the 3,000-row split is 18.8 MB.
+    assert peak < len(ds) * ds.dim * 8 / 4
+
+
+def test_blocked_evaluation_keeps_the_bytes_of_the_cli_test_split(digits_net):
+    ds = ws.synth_digits(per_class=100, seed=1_000_014)
+    latents, accuracy = whole_split(digits_net, ds)
+    assert harness.latent_features(digits_net, ds).tobytes() == latents.tobytes()
+    assert harness.evaluate_accuracy(digits_net, ds) == accuracy
+
+
+@pytest.mark.parametrize("n", [129, 2000, 5120])
+def test_blocked_evaluation_matches_one_forward_call(digits_net, n):
+    # Blocks may round differently from one large matmul, or from a 1-3
+    # row remainder block, by far less than a decision margin.
+    split = ws.synth_digits(per_class=512, seed=11)
+    ds = ws.Dataset(split.features[:n], split.labels[:n], split.n_classes)
+    latents, accuracy = whole_split(digits_net, ds)
+    blocked = harness.latent_features(digits_net, ds)
+    assert np.max(np.abs(blocked - latents)) <= 1e-12 * np.max(np.abs(latents))
+    assert harness.evaluate_accuracy(digits_net, ds) == accuracy
+
+
+def test_an_empty_split_has_no_accuracy(digits_net):
+    empty = ws.Dataset(np.zeros((0, 784), dtype=np.uint8),
+                       np.zeros(0, dtype=np.int64), 10)
+    with pytest.raises(ws.DataError, match="no rows"):
+        harness.evaluate_accuracy(digits_net, empty)
+    assert harness.latent_features(digits_net, empty).shape == (0, 64)
 
 
 # --- similarity and PCA export ---------------------------------------
