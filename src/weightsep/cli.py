@@ -172,7 +172,8 @@ def build_config(args, implicit_classes=()):
     file_config = read_config(args.config) if args.config else None
     merged = {**(asdict(file_config) if file_config else {}), **values}
     # Checks every value now; the three fields with no default get stand-ins.
-    harness.TrainConfig(**{"layer_dims": (), "epochs": 1, "seed": 0, **merged})
+    harness.TrainConfig(**{"layer_dims": (1, 1), "epochs": 1, "seed": 0,
+                           **merged})
     classes = merged.get("class_filter", ())
     source, train_ds, test_ds = resolve_datasets(
         merged.get("data_source"), classes, merged.get("seed", 0))
@@ -197,12 +198,12 @@ def _test_set(args):
 def cmd_train(args):
     config, train_ds, test_ds = build_config(args)
     artifact = harness.train(config, train_ds)
+    test_accuracy = harness.evaluate_accuracy(artifact.network, test_ds)
     harness.write_run_artifact(artifact, args.out)
     final = artifact.records[-1]
     print(f"steps: {final.step + 1}")
     print(f"final train batch accuracy: {final.train_accuracy:.4f}")
-    print(f"final test accuracy: "
-          f"{harness.evaluate_accuracy(artifact.network, test_ds):.4f}")
+    print(f"final test accuracy: {test_accuracy:.4f}")
     print(f"final separability: {format_epsilon(artifact.report.epsilon)}")
     print(f"artifacts written to {args.out}")
     return 0

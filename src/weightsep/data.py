@@ -46,6 +46,8 @@ class Dataset:
         l = self.labels
         if f.ndim != 2:
             raise DataError(f"features must be 2-D, got ndim={f.ndim}")
+        if 0 in f.shape:
+            raise DataError(f"features have no rows or no columns: {f.shape}")
         if l.shape != (f.shape[0],):
             raise DataError(
                 f"label count {l.shape} != sample count {f.shape[0]}"
@@ -54,8 +56,7 @@ class Dataset:
         # Every uint8 code decodes into [0, 1]. NaN fails both comparisons,
         # so the finiteness pass runs only to name the error of a set already
         # out of range.
-        if f.dtype != np.uint8 and f.size and not (
-                f.min() >= 0.0 and f.max() <= 1.0):
+        if f.dtype != np.uint8 and not (f.min() >= 0.0 and f.max() <= 1.0):
             if not np.isfinite(f).all():
                 raise NumericError("features contain non-finite values")
             raise DataError("features must lie in [0, 1]")
@@ -95,8 +96,7 @@ def _own_mapping(shape, dtype):
     array is first written.
     """
     count = math.prod(shape)
-    # mmap refuses a zero length, which an empty IDX file asks for.
-    buf = mmap.mmap(-1, max(np.dtype(dtype).itemsize * count, 1),
+    buf = mmap.mmap(-1, np.dtype(dtype).itemsize * count,
                     flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
                     | getattr(mmap, "MAP_POPULATE", 0))
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
@@ -133,15 +133,10 @@ def _read_exact(f, count, path, what):
     return out
 
 
-def _open_binary(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_idx_array(path, expected_magic, n_dims, what):
     try:
-        with _open_binary(path) as f:
+        opener = gzip.open if str(path).endswith(".gz") else open
+        with opener(path, "rb") as f:
             (magic,) = struct.unpack(">I", _read_exact(f, 4, path, "magic"))
             if magic != expected_magic:
                 raise FormatError(
@@ -151,6 +146,8 @@ def _read_idx_array(path, expected_magic, n_dims, what):
             dims = struct.unpack(
                 f">{n_dims}I", _read_exact(f, 4 * n_dims, path, "dimensions")
             )
+            if 0 in dims:
+                raise DataError(f"{path}: no {what}: dimensions {dims}")
             payload = _read_exact(f, math.prod(dims), path, "payload")
             if f.read(1):
                 raise FormatError(f"{path}: trailing bytes after payload")
@@ -166,7 +163,8 @@ def read_idx(images_path, labels_path):
     Pixels stay uint8 codes (see :class:`Dataset`) and images are flattened
     to rows. Each file's big-endian header is checked (magic number,
     dimension sizes, exact payload length), and the image and label counts
-    must agree.
+    must agree. A file whose header promises no entries (a zero dimension)
+    raises :class:`DataError`: a split always has samples.
     """
     (n_images, rows, cols), pixels = _read_idx_array(
         images_path, IDX_IMAGE_MAGIC, 3, "images"
@@ -180,21 +178,20 @@ def read_idx(images_path, labels_path):
             f"{labels_path} has {n_labels}"
         )
     labels = raw_labels.astype(np.int64)
-    n_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(
         features=pixels.reshape(n_images, rows * cols),
         labels=labels,
-        n_classes=n_classes,
+        n_classes=int(labels.max()) + 1,
     )
 
 
 def write_idx(ds, images_path, labels_path, image_shape=None):
     """Write a dataset back to an IDX image/label pair.
 
-    uint8 features are written as they are; float features are scaled by
-    255 and rounded to bytes, so data that came from :func:`read_idx` or
-    :func:`synth_digits` round-trips exactly. ``image_shape`` defaults to a
-    single row per image.
+    uint8 features, such as those of :func:`read_idx` and
+    :func:`synth_digits`, are written as they are, so they round-trip
+    exactly; float features are scaled by 255 and rounded to bytes.
+    ``image_shape`` defaults to a single row per image.
     """
     n = len(ds)
     if image_shape is None:

@@ -112,6 +112,9 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             if f.type is tuple:
                 object.__setattr__(self, f.name, tuple(value))
+        if len(self.layer_dims) < 2:
+            raise ConfigError("layer_dims needs an input and a class width, "
+                              f"got {self.layer_dims}")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}; pick from {LOSS_KINDS}")
         if self.final_init not in FINAL_INITS:
@@ -185,10 +188,7 @@ def _forward_blocks(net, ds):
 
 
 def evaluate_accuracy(net, ds):
-    """Fraction of dataset samples whose top logit matches the label. A
-    split with no rows has no accuracy and raises :class:`DataError`."""
-    if not len(ds):
-        raise DataError("cannot evaluate accuracy on a split with no rows")
+    """Fraction of dataset samples whose top logit matches the label."""
     hits = 0
     for rows, trace in _forward_blocks(net, ds):
         hits += np.count_nonzero(decide_classes(trace.logits) == ds.labels[rows])
@@ -237,8 +237,6 @@ def train(config, ds):
     failed first.
     """
     dims = config.layer_dims
-    if len(dims) < 2:
-        raise ConfigError(f"layer_dims needs an input and a class width, got {dims}")
     if dims[0] != ds.dim:
         raise ConfigError(f"layer_dims: first width {dims[0]} != the data's "
                           f"input width {ds.dim}")
@@ -637,8 +635,7 @@ def load_checkpoint(path):
     offset = 12 + header_len
     params = []
     for name, shape, _ in spec.parameter_layout():
-        # Python-int product: int64 would wrap for a huge promised shape.
-        end = offset + 8 * int(np.prod(shape, dtype=object))
+        end = offset + 8 * math.prod(shape)
         if end > len(blob) - 4:
             raise FormatError(f"{path}: payload shorter than header promises")
         arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
@@ -677,12 +674,8 @@ def _checkpoint_layout(header, path):
 def config_to_text(config):
     """Flat key = value rendering; values are JSON literals so types are
     explicit and parse back exactly."""
-    lines = []
-    for key, value in asdict(config).items():
-        if isinstance(value, tuple):
-            value = list(value)
-        lines.append(f"{key} = {json.dumps(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {json.dumps(value)}\n"
+                   for key, value in asdict(config).items())
 
 
 def config_from_text(text):

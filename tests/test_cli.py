@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 import weightsep
-from weightsep import Dataset, cli, config_from_text, harness, write_idx
+from weightsep import (DataError, Dataset, cli, config_from_text, harness,
+                       write_idx)
 from weightsep.cli import main
 
 from tests.support import (CORRUPT_GZIP, JSON_PROBES, ROOT, SINGLE_THREAD_ENV,
@@ -192,6 +193,7 @@ BAD_VALUES = [
     ("batch_size", "0", "--batch-size", "0"),
     ("seed", "-1", "--seed", "-1"),
     ("seed", str(2**64), "--seed", str(2**64)),
+    ("layer_dims", "[5]", "--layer-dims", "5"),
 ]
 
 
@@ -721,16 +723,24 @@ def test_missing_data_dir_mentions_fetch_url(tmp_path):
     assert "http" in err
 
 
-def test_an_empty_test_split_is_a_data_error(tmp_path):
-    # A valid train pair and a t10k pair of no images: the test accuracy of
-    # no rows is a typed error, not a nan after numpy's warnings. A child
-    # process, so that those warnings would reach its stderr.
+def empty_split_dir(tmp_path, prefix):
+    """``author_digit_dir`` with its ``prefix`` ("train" or "t10k") pair
+    replaced by the headers of a pair of no 2 x 2 images."""
     data_dir = tmp_path / "idx"
     data_dir.mkdir()
     author_digit_dir(data_dir)
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
-    write_idx(empty, data_dir / "t10k-images-idx3-ubyte",
-              data_dir / "t10k-labels-idx1-ubyte", image_shape=(2, 2))
+    (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x00000803, 0, 2, 2))
+    (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x00000801, 0))
+    return data_dir
+
+
+def test_an_empty_test_split_is_a_data_error(tmp_path):
+    # A valid train pair and a t10k pair of no images: the load refuses the
+    # split before any training, so nothing is printed or written. A child
+    # process, so that numpy's warnings would reach its stderr.
+    data_dir = empty_split_dir(tmp_path, "t10k")
     proc = subprocess.run(
         [sys.executable, "-m", "weightsep", "train", "--data", str(data_dir),
          "--layer-dims", "4,8,3", "--epochs", "1", "--seed", "1",
@@ -740,8 +750,57 @@ def test_an_empty_test_split_is_a_data_error(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:data:")
+    assert "t10k-images-idx3-ubyte" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "run").exists()
+
+
+def empty_split_argv(command, out, ckpt):
+    """argv of ``command`` on a 3-class IDX directory, less ``--data``.
+    ``ckpt`` does not exist, so a command that read it would exit 5."""
+    train_args = ["--epochs", "1", "--batch-size", "16"]
+    return {
+        "train": ["train", "--layer-dims", "4,8,3", "--seed", "1", *train_args,
+                  "--out", out],
+        "frozen-linearity": ["frozen-linearity", "--seed", "1", *train_args,
+                             "--out", out],
+        "loss-compare": ["loss-compare", "--seeds", "1", *train_args],
+        "similarity": ["similarity", "--seed", "2", ckpt],
+        "export-pca": ["export-pca", "--seed", "2", "--checkpoint", ckpt,
+                       "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("prefix, command", [
+    *(("t10k", c) for c in ("train", "frozen-linearity", "loss-compare",
+                            "similarity", "export-pca")),
+    *(("train", c) for c in ("train", "frozen-linearity", "loss-compare")),
+])
+def test_an_empty_split_stops_every_command_at_load(tmp_path, prefix, command):
+    data_dir = empty_split_dir(tmp_path, prefix)
+    out = tmp_path / "out"
+    argv = empty_split_argv(command, str(out), str(tmp_path / "absent.bin"))
+    rc, stdout, err = run_cli([argv[0], "--data", str(data_dir), *argv[1:]])
+    assert rc == 2, err
+    assert err.startswith(f"error:data: {data_dir / prefix}-images-idx3-ubyte:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_a_failed_evaluation_leaves_no_run_behind(tmp_path, monkeypatch):
+    def fail(net, ds):
+        raise DataError("no evaluation")
+
+    monkeypatch.setattr(harness, "evaluate_accuracy", fail)
+    run_dir = tmp_path / "run"
+    rc, out, err = run_cli(["train", *BLOB_ARGS, "--epochs", "1",
+                            "--seed", "3", "--out", str(run_dir)])
+    assert rc == 2
+    assert err == "error:data: no evaluation\n"
+    assert out == ""
+    assert not run_dir.exists()
 
 
 def save_initial_checkpoint(path, dims):

@@ -68,10 +68,42 @@ def test_hand_authored_pair_decodes_exactly(tmp_path):
     img, lab = author_idx_pair(tmp_path, range(256), [0], rows=16, cols=16,
                                stem="all-bytes")
     assert np.array_equal(read_idx(img, lab).rows()[0], np.arange(256) / 255.0)
-    # A pair of zero images loads as an empty set.
+    # A pair of zero images is refused: a split always has samples.
     img, lab = author_idx_pair(tmp_path, [], [], rows=28, cols=28,
                                stem="empty")
-    assert read_idx(img, lab).features.shape == (0, 784)
+    with pytest.raises(DataError) as err:
+        read_idx(img, lab)
+    assert str(err.value).startswith(f"{img}: no images")
+
+
+@pytest.mark.parametrize("n, rows, cols", [(0, 2, 2), (3, 0, 2), (3, 2, 0)],
+                         ids=["no-images", "no-rows", "no-columns"])
+def test_an_image_file_promising_no_pixels_is_a_data_error(tmp_path, n,
+                                                            rows, cols):
+    # The payload is present, so the header alone decides.
+    _, lab = author_idx_pair(tmp_path, [], [0] * n, rows=2, cols=2)
+    img = tmp_path / "img.idx"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols)
+                    + bytes(12))
+    with pytest.raises(DataError) as err:
+        read_idx(img, lab)
+    assert str(err.value) == f"{img}: no images: dimensions {(n, rows, cols)}"
+
+
+def test_a_label_file_of_no_labels_is_a_data_error(tmp_path):
+    img, lab = author_idx_pair(tmp_path, [7] * 8, [0, 1], rows=2, cols=2)
+    lab.write_bytes(struct.pack(">II", 0x00000801, 0))
+    with pytest.raises(DataError) as err:
+        read_idx(img, lab)
+    assert str(err.value) == f"{lab}: no labels: dimensions (0,)"
+
+
+def test_dataset_refuses_features_with_no_rows_or_columns():
+    for shape in ((0, 784), (3, 0)):
+        for dtype in (np.uint8, np.float64):
+            with pytest.raises(DataError, match="no rows or no columns"):
+                Dataset(np.zeros(shape, dtype=dtype),
+                        np.zeros(shape[0], dtype=np.int64), 10)
 
 
 def test_wrong_magic_reports_expected_and_found(tmp_path):
@@ -140,18 +172,27 @@ def _flip(data, bit):
     return bytes(flipped)
 
 
-def test_every_truncation_and_header_bit_flip_is_a_format_error(tmp_path):
+def test_every_truncation_and_header_bit_flip_is_refused(tmp_path):
     pixels = [0, 51, 102, 153, 204, 255, 0, 255, 9, 8, 7, 6]
     img, lab = author_idx_pair(tmp_path, pixels, [3, 1, 0], rows=2, cols=2)
+    n_empty = 0
     for path, header_len in ((img, 16), (lab, 8)):
         good = path.read_bytes()
         damaged = [good[:n] for n in range(len(good))]
         damaged += [_flip(good, bit) for bit in range(8 * header_len)]
         for data in damaged:
             path.write_bytes(data)
-            with pytest.raises(FormatError):
+            # A flip that zeroes a dimension leaves a header that promises
+            # no entries: a DataError naming the file. Every other damage
+            # is a FormatError.
+            empty = len(data) == len(good) and 0 in struct.unpack(
+                f">{header_len // 4 - 1}I", data[4:header_len])
+            with pytest.raises(DataError if empty else FormatError) as err:
                 read_idx(img, lab)
+            assert not empty or str(err.value).startswith(f"{path}: no ")
+            n_empty += empty
         path.write_bytes(good)
+    assert n_empty == 2  # the rows and the columns of the images, 2 -> 0
 
 
 def test_every_payload_bit_flip_loads_or_is_a_typed_error(tmp_path):

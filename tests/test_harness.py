@@ -818,14 +818,6 @@ def test_blocked_evaluation_matches_one_forward_call(digits_net, n):
     assert harness.evaluate_accuracy(digits_net, ds) == accuracy
 
 
-def test_an_empty_split_has_no_accuracy(digits_net):
-    empty = ws.Dataset(np.zeros((0, 784), dtype=np.uint8),
-                       np.zeros(0, dtype=np.int64), 10)
-    with pytest.raises(ws.DataError, match="no rows"):
-        harness.evaluate_accuracy(digits_net, empty)
-    assert harness.latent_features(digits_net, empty).shape == (0, 64)
-
-
 # --- similarity and PCA export ---------------------------------------
 
 
