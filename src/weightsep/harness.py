@@ -25,7 +25,8 @@ import numpy as np
 
 from . import losses, optim
 from .data import batches
-from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
+from .errors import (ConfigError, DataError, FormatError, NumericError,
+                     OrientationError, ShapeError)
 from .linalg import pca_reduce
 from .network import (
     FINAL_INITS,
@@ -41,7 +42,6 @@ from .rng import check_seed
 # The two single-form metrics are not called here; they stay importable
 # from this module for callers that look the metric names up on it.
 from .separability import (  # noqa: F401
-    error_matrix,
     format_epsilon,
     separability_metric,
     separability_metric_trace_form,
@@ -229,12 +229,12 @@ def train(config, ds):
     each pass checks each step's forms. ``report`` is the final weight's
     report.
 
-    A ``layer_dims`` that does not fit ``ds`` raises :class:`ConfigError`,
-    and a decision layer with more classes than latent units raises
-    :class:`OrientationError` before the first step. A loss that leaves the
-    finite range, or separability forms that are not finite or disagree,
-    raise :class:`NumericError` naming the failing step, whichever step
-    failed first.
+    Before the network is built, a ``layer_dims`` that does not fit ``ds``
+    raises :class:`ConfigError`, and a decision layer with more classes than
+    latent units :class:`OrientationError`. A loss that leaves the finite
+    range, or separability forms that are not finite or disagree, raise
+    :class:`NumericError` naming the failing step, whichever step failed
+    first.
     """
     dims = config.layer_dims
     if dims[0] != ds.dim:
@@ -244,13 +244,15 @@ def train(config, ds):
         raise ConfigError(f"layer_dims: last width {dims[-1]} != the data's "
                           f"class count {ds.n_classes}")
     spec = NetworkSpec(dims)
+    if spec.latent_dim < spec.n_classes:
+        raise OrientationError(f"layer_dims {dims}: the decision layer has "
+                               "more columns than rows")
 
     net = init_network(spec, config.seed, final_init=config.final_init)
     params = net.parameters()
     # freeze_final keeps the decision weight, the last parameter, out of SGD.
     n_trained = len(params) - 1 if config.freeze_final else len(params)
     velocity = tuple(np.zeros_like(p) for p in params[:n_trained])
-    error_matrix(net.final_weight)  # OrientationError: more classes than units
 
     centers = None
     if config.loss == "softmax_ce_plus_center":
@@ -459,13 +461,13 @@ def similarity_report(net, ds):
     """Per class: distance between the class's mean latent activation and
     the matching decision column, as Euclidean distance and cosine distance
     (1 - cosine similarity)."""
-    latents = latent_features(net, ds)
     w = net.final_weight
     if w.shape[1] != ds.n_classes:
         raise ConfigError(
             f"network has {w.shape[1]} decision columns, dataset has "
             f"{ds.n_classes} classes"
         )
+    latents = latent_features(net, ds)
     rows = []
     for c in range(ds.n_classes):
         member = ds.labels == c
@@ -572,11 +574,11 @@ CHECKPOINT_VERSION = 1
 
 
 def _header(spec):
-    """The JSON header of a checkpoint of ``spec``: each layer's widths and
-    activation (relu for all but the identity decision layer), then the name
-    and shape of each array in payload order."""
+    """The JSON header bytes of a checkpoint of ``spec``: each layer's widths
+    and activation (relu for all but the identity decision layer), then the
+    name and shape of each array in payload order."""
     last = len(spec.dims) - 2
-    return {
+    return json.dumps({
         "version": CHECKPOINT_VERSION,
         "layers": [
             {"in": n_in, "out": n_out,
@@ -587,13 +589,13 @@ def _header(spec):
             {"name": name, "shape": list(shape)}
             for name, shape, _ in spec.parameter_layout()
         ],
-    }
+    }, sort_keys=True).encode()
 
 
 def save_checkpoint(net, path):
     """Serialize network spec and parameters; the trailing checksum lets
     :func:`load_checkpoint` reject corrupt or truncated files."""
-    header_bytes = json.dumps(_header(net.spec), sort_keys=True).encode()
+    header_bytes = _header(net.spec)
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack(">II", CHECKPOINT_VERSION, len(header_bytes))
@@ -607,8 +609,9 @@ def save_checkpoint(net, path):
 def load_checkpoint(path):
     """Read a checkpoint back into a :class:`Network`.
 
-    A damaged or malformed file raises :class:`FormatError`; parameters that
-    are not finite raise :class:`NumericError`.
+    Only what :func:`save_checkpoint` writes loads: a damaged file, or any
+    other header or payload length, raises :class:`FormatError`; parameters
+    that are not finite raise :class:`NumericError`.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -626,49 +629,31 @@ def load_checkpoint(path):
             f"{path}: checkpoint version {version} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: unreadable checkpoint header: {e}") from e
-
-    spec = _checkpoint_layout(header, path)
     offset = 12 + header_len
+    header = blob[12:offset]
+    try:
+        layers = json.loads(header)["layers"]
+        spec = NetworkSpec((layers[0]["in"], *(l["out"] for l in layers)))
+    except (ValueError, LookupError, TypeError, RecursionError) as e:
+        raise FormatError(f"{path}: unreadable checkpoint header: {e}") from e
+    if header != _header(spec):
+        raise FormatError(f"{path}: checkpoint header is not the one written "
+                          f"for the widths {spec.dims}")
+    layout = spec.parameter_layout()
+    promised = 8 * sum(math.prod(shape) for _, shape, _ in layout)
+    stored = len(blob) - 4 - offset
+    if stored != promised:
+        what = "shorter" if stored < promised else "longer"
+        raise FormatError(f"{path}: payload {what} than header promises")
     params = []
-    for name, shape, _ in spec.parameter_layout():
-        end = offset + 8 * math.prod(shape)
-        if end > len(blob) - 4:
-            raise FormatError(f"{path}: payload shorter than header promises")
-        arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
+    for name, shape, _ in layout:
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, "<f8", count, offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: {name} holds non-finite values")
         params.append(arr.copy())
-        offset = end
-    if offset != len(blob) - 4:
-        raise FormatError(f"{path}: payload longer than header promises")
+        offset += 8 * count
     return Network(spec, params)
-
-
-def _checkpoint_layout(header, path):
-    """The network spec a checkpoint header describes. Anything else in place
-    of the header :func:`save_checkpoint` writes for that spec raises
-    :class:`FormatError`."""
-    def malformed(what):
-        return FormatError(f"{path}: malformed checkpoint header: {what}")
-
-    if not isinstance(header, dict):
-        raise malformed(f"expected an object, got {type(header).__name__}")
-    layers = header.get("layers")
-    try:
-        spec = NetworkSpec((layers[0]["in"], *(l["out"] for l in layers)))
-    except (ConfigError, IndexError, KeyError, TypeError) as e:
-        raise malformed(f"cannot read widths from 'layers': {e!r}") from e
-    # Compared as JSON text, so 8.0 or true does not pass for 8 or 1.
-    want = _header(spec)
-    for key in ("layers", "arrays"):
-        if (json.dumps(header.get(key), sort_keys=True)
-                != json.dumps(want[key], sort_keys=True)):
-            raise malformed(f"{key!r} does not match the widths {spec.dims}")
-    return spec
 
 
 def config_to_text(config):

@@ -324,6 +324,34 @@ def test_frozen_linearity_both_arms(tmp_path):
     assert (tmp_path / "latents_random.csv").exists()
 
 
+@pytest.mark.parametrize("data, classes", [("digits", (0, 1, 5)),
+                                           ("idx", ())],
+                         ids=["digits-hold-class-5", "idx-has-3-classes"])
+def test_frozen_linearity_keeps_classes_0_1_5_by_default(tmp_path, monkeypatch,
+                                                         data, classes):
+    # With no --classes and no class_filter, the classes are 0, 1 and 5 if
+    # the data hold class 5, else all of them.
+    if data == "idx":
+        author_digit_dir(tmp_path)
+        data = str(tmp_path)
+    runs = []
+    experiment = harness.experiment_frozen_linearity
+
+    def spy(train_ds, test_ds, config):
+        runs.append((train_ds.n_classes, test_ds.n_classes, config))
+        return experiment(train_ds, test_ds, config)
+
+    monkeypatch.setattr(harness, "experiment_frozen_linearity", spy)
+    rc, _, err = run_cli(["frozen-linearity", "--data", data, "--seed", "1",
+                          "--epochs", "1", "--batch-size", "16"])
+    assert rc == 0, err
+    [(n_train, n_test, config)] = runs
+    n_classes = len(classes) or 3
+    assert (n_train, n_test) == (n_classes, n_classes)
+    assert config.class_filter == classes
+    assert config.layer_dims[-1] == n_classes
+
+
 def test_loss_compare_table(capsys):
     rc, out, _ = run_cli(
         ["loss-compare", *BLOB_ARGS, "--seeds", "0,1", "--epochs", "2"]
@@ -662,6 +690,25 @@ def test_malformed_checkpoint_header_exits_3(train_run, tmp_path, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: {**h, "extra": 1},
+    lambda h: {**h, "version": 99},
+    lambda h: {k: v for k, v in h.items() if k != "version"},
+], ids=["extra-key", "version-99", "no-version"])
+def test_a_header_save_checkpoint_never_writes_exits_3(train_run, tmp_path,
+                                                       edit):
+    # Readable widths and a matching payload: only the header bytes differ
+    # from the ones save_checkpoint writes.
+    _, _, run_dir = train_run
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint(run_dir / "checkpoint.bin", bad, edit_header=edit)
+    with pytest.raises(weightsep.FormatError, match="checkpoint header"):
+        harness.load_checkpoint(bad)
+    rc, _, err = run_cli(["eval-metric", str(bad)])
+    assert rc == 3
+    assert err.startswith("error:format:")
+
+
 def test_nonfinite_checkpoint_exits_4(train_run, tmp_path):
     _, _, run_dir = train_run
     bad = tmp_path / "nan.bin"
@@ -833,6 +880,23 @@ def test_checkpoint_commands_synthesize_only_the_test_split(
                                             tmp_path / "x.csv"))
     assert rc == 0, err
     assert per_class == [cli.SYNTH_TEST_PER_CLASS]
+
+
+def test_similarity_checks_the_class_count_before_any_forward_pass(
+        tmp_path, monkeypatch):
+    calls = []
+    latent_features = harness.latent_features
+    monkeypatch.setattr(
+        harness, "latent_features",
+        lambda *args: calls.append(1) or latent_features(*args))
+    ckpt = save_initial_checkpoint(tmp_path / "c.bin", (32, 8, 5))
+    rc, out, err = run_cli(["similarity", "--data", "blobs", "--seed", "2",
+                            ckpt])
+    assert rc == 2
+    assert err == ("error:config: network has 5 decision columns, dataset "
+                   "has 10 classes\n")
+    assert out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["similarity", "export-pca"])

@@ -281,6 +281,29 @@ def test_dataset_names_the_error_of_a_bad_feature(bad, error):
     assert type(err.value) is error
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(4), np.zeros(4, dtype=int),
+     r"^features must be 2-D, got ndim=1$"),
+    (np.zeros((4, 2)), np.zeros(3, dtype=int),
+     r"^label count \(3,\) != sample count 4$"),
+], ids=["1-D-features", "label-count"])
+def test_dataset_rejects_a_bad_shape(features, labels, message):
+    with pytest.raises(DataError, match=message):
+        Dataset(features, labels, 2)
+
+
+@pytest.mark.parametrize("n_classes, image_shape, message", [
+    (2, (2, 3), r"^image shape \(2, 3\) does not cover 4 features$"),
+    (257, (2, 2), r"^IDX labels are single bytes; need n_classes <= 256$"),
+], ids=["image-shape", "too-many-classes"])
+def test_write_idx_rejects_what_idx_cannot_hold(tmp_path, n_classes,
+                                                image_shape, message):
+    ds = Dataset(np.zeros((2, 4)), np.array([0, 1]), n_classes)
+    with pytest.raises(FormatError, match=message):
+        write_idx(ds, tmp_path / "images", tmp_path / "labels", image_shape)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 0.0, 1.0]),
                                     np.array([False, True, False, True])],
                          ids=["float", "bool"])
@@ -324,6 +347,16 @@ def test_filter_unknown_class():
     ds = synth_blobs(3, 5, 4, 0.1, seed=1)
     with pytest.raises(DataError):
         filter_classes(ds, (0, 9))
+
+
+@pytest.mark.parametrize("keep, message", [
+    ((), r"^keep list must be non-empty$"),
+    ((0, 1, 0), r"^duplicate classes in keep list: \[0, 1, 0\]$"),
+], ids=["empty", "duplicate"])
+def test_filter_rejects_an_empty_or_repeating_keep_list(keep, message):
+    ds = synth_blobs(3, 5, 4, 0.1, seed=1)
+    with pytest.raises(DataError, match=message):
+        filter_classes(ds, keep)
 
 
 def test_filter_rejects_non_integer_classes():

@@ -127,6 +127,22 @@ def test_config_text_rejects_bad_value():
         config_from_text(text)
 
 
+def test_config_text_rejects_a_line_without_equals():
+    text = config_to_text(blob_config()) + "epochs 5\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError,
+                       match=rf"^line {lineno}: expected 'key = value': "
+                             r"'epochs 5'$"):
+        config_from_text(text)
+
+
+def test_config_text_rejects_a_missing_field():
+    text = "".join(line for line in config_to_text(blob_config()).splitlines(
+        keepends=True) if not line.startswith("epochs = "))
+    with pytest.raises(ConfigError, match=r"^incomplete config: .*'epochs'"):
+        config_from_text(text)
+
+
 @pytest.mark.parametrize("key", list(TrainConfig.__dataclass_fields__))
 def test_every_field_value_parses_or_is_a_config_error(key):
     base = blob_config(loss="softmax_ce_plus_center", use_reconstruction=True)
@@ -366,7 +382,8 @@ def test_logged_epsilon_is_the_report_of_each_steps_weight(
     assert art.report.epsilon == art.records[-1].epsilon
 
 
-def test_wide_decision_layer_fails_before_training(monkeypatch):
+@pytest.mark.parametrize("final_init", harness.FINAL_INITS)
+def test_wide_decision_layer_fails_before_training(monkeypatch, final_init):
     # 4 latent units for 10 classes: the decision matrix is wider than tall.
     ds = ws.synth_blobs(n_classes=10, per_class=20, dim=32, spread=0.05,
                         seed=3)
@@ -376,7 +393,7 @@ def test_wide_decision_layer_fails_before_training(monkeypatch):
                         lambda *args: calls.append(1) or sgd_step(*args))
     with pytest.raises(ws.OrientationError, match="more columns than rows"):
         train(TrainConfig(layer_dims=(32, 4, 10), epochs=3, seed=0,
-                          batch_size=32), ds)
+                          batch_size=32, final_init=final_init), ds)
     assert len(calls) <= 1
 
 
@@ -722,6 +739,39 @@ def test_checkpoint_malformed_header_is_format_error(tmp_path, blob_run, mutate)
     assert "header" in str(err.value)
 
 
+def _huge_widths(header):
+    # _huge_shape's header with its keys in the order save_checkpoint writes
+    # them, so that only the payload length refuses it.
+    return {"arrays": [{"name": "layer0.weight", "shape": [2**32, 2**32]}],
+            "layers": [{"activation": "identity", "in": 2**32, "out": 2**32}],
+            "version": 1}
+
+
+@pytest.mark.parametrize("edit_header, edit_payload, what", [
+    (None, lambda payload: payload[:-8], "shorter"),
+    (None, lambda payload: payload + bytes(8), "longer"),
+    (_huge_widths, None, "shorter"),
+], ids=["shorter", "longer", "huge-widths"])
+def test_checkpoint_payload_length_must_match_the_header(
+        tmp_path, blob_run, edit_header, edit_payload, what):
+    path = tmp_path / "model.bin"
+    save_checkpoint(blob_run.network, path)
+    rewrite_checkpoint(path, path, edit_header, edit_payload)
+    with pytest.raises(FormatError,
+                       match=f"payload {what} than header promises$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_deeply_nested_header_is_format_error(tmp_path):
+    header = b"[" * 100_000
+    blob = harness.CHECKPOINT_MAGIC + struct.pack(
+        ">II", harness.CHECKPOINT_VERSION, len(header)) + header
+    path = tmp_path / "deep.bin"
+    path.write_bytes(blob + struct.pack(">I", zlib.crc32(blob) & 0xFFFFFFFF))
+    with pytest.raises(FormatError, match="unreadable checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_nonfinite_weights_are_numeric_error(tmp_path, blob_run):
     path = tmp_path / "model.bin"
     save_checkpoint(blob_run.network, path)
@@ -845,6 +895,19 @@ def test_similarity_exact_match_is_zero():
         assert r.cosine_distance < 1e-12
 
 
+def test_similarity_of_a_zero_mean_latent():
+    # relu(-x) is 0 for every x in [0, 1]: every hidden unit is dead, so each
+    # class's mean latent is all zeros. Its cosine distance reads 1 beside a
+    # column of norm 0.5, and 0 where the column is zero too.
+    w = np.array([[0.5, 0.0], [0.0, 0.0]])
+    net = ws.init_network(ws.NetworkSpec((2, 2, 2)), 0).replace_parameters(
+        [-np.ones((2, 2)), np.zeros(2), w])
+    ds = ws.Dataset(np.array([[0.2, 0.4], [0.6, 0.8]]), np.array([0, 1]), 2)
+    rows = similarity_report(net, ds)
+    assert [(r.euclidean, r.cosine_distance) for r in rows] == [(0.5, 1.0),
+                                                                (0.0, 0.0)]
+
+
 def test_similarity_empty_class_rejected():
     net = ws.init_network(ws.NetworkSpec((2, 2)), 0)
     ds = ws.Dataset(np.zeros((2, 2)), np.array([0, 0]), 2)
@@ -922,6 +985,12 @@ def test_frozen_linearity_experiment_small(blobs_small):
     assert len(set(res.random.epsilon_steps)) == 1
     assert res.random.epsilon > res.orthonormal.epsilon
     assert res.orthonormal.latents.shape == (len(blobs_small), 16)
+
+
+def test_loss_comparison_needs_a_seed(blobs_small):
+    with pytest.raises(ConfigError, match="^need at least one seed$"):
+        ws.experiment_loss_comparison(blobs_small, blobs_small, seeds=(),
+                                      config=blob_config())
 
 
 def test_loss_comparison_experiment_small(blobs_small):

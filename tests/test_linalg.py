@@ -17,6 +17,7 @@ from weightsep import (
     trace,
     train,
 )
+from weightsep.linalg import as_matrix
 
 
 def test_frobenius_equals_trace_of_gram():
@@ -173,6 +174,36 @@ def test_pca_component_variances_match_eigenvalues():
 def test_pca_k_too_large():
     with pytest.raises(ShapeError):
         pca_reduce(np.zeros((5, 3)), 4)
+
+
+@pytest.mark.parametrize("x, k, message", [
+    (np.zeros((5, 3)), 0, r"^pca_reduce: k must be positive, got 0$"),
+    (np.zeros((1, 3)), 2, r"^pca_reduce: need at least 2 samples, got 1$"),
+], ids=["k-zero", "one-sample"])
+def test_pca_rejects_no_components_or_one_sample(x, k, message):
+    with pytest.raises(ShapeError, match=message):
+        pca_reduce(x, k)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.zeros(3), r"^w: expected a 2-D array, got ndim=1$"),
+    (np.zeros((0, 3)), r"^w: empty dimension in shape \(0, 3\)$"),
+], ids=["1-D", "no-rows"])
+def test_as_matrix_rejects_a_bad_shape(a, message):
+    with pytest.raises(ShapeError, match=message):
+        as_matrix(a, "w")
+
+
+def test_semi_orthogonal_init_needs_as_many_rows_as_columns():
+    with pytest.raises(ShapeError, match=r"^semi_orthogonal_init: need "
+                                         r"m >= n, got m=2, n=3$"):
+        semi_orthogonal_init(2, 3, seed=0)
+
+
+def test_jacobi_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ShapeError, match=r"^jacobi_eigh: matrix must be "
+                                         r"square, got \(2, 3\)$"):
+        jacobi_eigh(np.zeros((2, 3)))
 
 
 def assert_top_k_projection(x, k):

@@ -129,6 +129,11 @@ def test_ce_label_out_of_range():
         softmax_cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
 
 
+def test_ce_rejects_logits_that_are_not_2d():
+    with pytest.raises(ShapeError, match=r"^logits must be 2-D, got ndim=1$"):
+        softmax_cross_entropy(np.zeros(3), np.array([0]))
+
+
 def test_ce_finite_differences():
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -244,6 +249,15 @@ def test_center_loss_label_checks():
         center_loss(np.zeros((2, 2)), np.array([[0], [1]]), centers, 0.5)
 
 
+@pytest.mark.parametrize("latent, message", [
+    (np.zeros(3), r"^latent must be 2-D, got ndim=1$"),
+    (np.zeros((2, 3)), r"^latent width 3 != center width 2$"),
+], ids=["1-D", "width"])
+def test_center_loss_rejects_a_bad_latent_shape(latent, message):
+    with pytest.raises(ShapeError, match=message):
+        center_loss(latent, np.array([0, 1]), np.zeros((2, 2)), 0.5)
+
+
 def test_center_loss_finite_differences():
     rng = np.random.default_rng(33)
     latent = rng.normal(size=(5, 3))
@@ -336,6 +350,16 @@ def test_batch_loss_needs_one_label_per_row(loss, n_rows, n_labels):
     with pytest.raises(ShapeError,
                        match=f"{n_labels} labels for {n_rows} {rows} rows"):
         loss_fn(np.zeros((n_rows, 3)), np.arange(n_labels) % 3)
+
+
+@pytest.mark.parametrize("latent, w, message", [
+    (np.zeros(3), np.zeros((3, 2)), r"^latent and w must be 2-D$"),
+    (np.zeros((2, 3)), np.zeros(3), r"^latent and w must be 2-D$"),
+    (np.zeros((2, 3)), np.zeros((4, 2)), r"^w rows 4 != latent width 3$"),
+], ids=["1-D-latent", "1-D-w", "rows"])
+def test_reconstruction_rejects_a_bad_shape(latent, w, message):
+    with pytest.raises(ShapeError, match=message):
+        reconstruction_loss(latent, np.array([0, 1]), w)
 
 
 def test_reconstruction_finite_differences_both_gradients():

@@ -61,6 +61,11 @@ def test_init_deterministic_per_seed():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
+def test_init_rejects_an_unknown_final_init():
+    with pytest.raises(ConfigError, match=r"^unknown final_init 'xavier'$"):
+        init_network(NetworkSpec((4, 3)), 0, final_init="xavier")
+
+
 def test_semi_orthogonal_final_option():
     spec = NetworkSpec((8, 6, 4))
     net = init_network(spec, 3, final_init="semi_orthogonal")
@@ -104,6 +109,13 @@ def test_forward_width_mismatch():
     net = tiny_net((5, 7, 3))
     with pytest.raises(ShapeError):
         forward(net, np.zeros((2, 4)))
+
+
+def test_forward_rejects_a_batch_that_is_not_2d():
+    net = tiny_net((5, 7, 3))
+    with pytest.raises(ShapeError,
+                       match=r"^forward: batch must be 2-D, got ndim=1$"):
+        forward(net, np.zeros(5))
 
 
 def test_forward_refuses_pixel_codes():

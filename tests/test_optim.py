@@ -29,6 +29,12 @@ def test_lr_at_no_milestones():
         assert lr_at(0.05, (), 0.1, epoch) == 0.05
 
 
+def test_lr_at_rejects_a_negative_epoch():
+    with pytest.raises(ConfigError,
+                       match=r"^epoch must be non-negative, got -1$"):
+        lr_at(0.1, (), 0.1, -1)
+
+
 def test_lr_at_nonincreasing_piecewise_constant():
     values = [lr_at(*REFERENCE_SCHEDULE, e) for e in range(300)]
     assert all(a >= b for a, b in zip(values, values[1:]))
