@@ -354,7 +354,3 @@ def main(argv=None):
     except MemoryError as e:
         print(f"error:memory: {e}", file=sys.stderr)
         return EXIT_CODES["memory"]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

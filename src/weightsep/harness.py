@@ -219,6 +219,31 @@ def _score_pending(pending, records):
         records.append(MetricRecord(*row[:-1], epsilon=e))
 
 
+def _objective(config, net, trace, labels, centers):
+    """One batch's training objective: classification loss (CE, plus the
+    center loss when ``centers`` is given) plus ``config.lam`` times the
+    reconstruction loss. Returns the loss parts ``(cls, re, total)``, the
+    :func:`backward` seeds ``(ce_grad, latent_grad, w_grad)`` and new centers."""
+    cls_value, ce_grad = losses.softmax_cross_entropy(trace.logits, labels)
+    latent_grad = None
+    if centers is not None:
+        c_value, latent_grad, centers = losses.center_loss(
+            trace.latent, labels, centers, config.center_rate)
+        cls_value += c_value
+    re_value = 0.0
+    w_grad = None
+    if config.use_reconstruction:
+        re_value, re_latent, re_w = losses.reconstruction_loss(
+            trace.latent, labels, net.final_weight)
+        re_latent = config.lam * re_latent
+        latent_grad = re_latent if latent_grad is None else latent_grad + re_latent
+        # Nothing applies a frozen decision weight's gradient.
+        if not config.freeze_final:
+            w_grad = config.lam * re_w
+    total = losses.total_loss(cls_value, re_value, config.lam)
+    return (cls_value, re_value, total), (ce_grad, latent_grad, w_grad), centers
+
+
 def train(config, ds):
     """Run the configured training loop on ``ds``.
 
@@ -263,65 +288,43 @@ def train(config, ds):
     # produced, uncopied (sgd_step never mutates one).
     pending = []
     step = 0
-    try:
-        for epoch in range(config.epochs):
-            lr = optim.lr_at(config.base_lr, config.milestones, config.lr_factor,
-                             epoch)
-            for feats, labels in batches(ds, config.batch_size, config.seed, epoch):
-                trace = forward(net, feats)
-                logits = trace.logits
-                latent = trace.latent
+    # Every value that leaves the finite range meets a check that raises
+    # NumericError (the loss, sgd_step's gradients, the ε forms).
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for epoch in range(config.epochs):
+                lr = optim.lr_at(config.base_lr, config.milestones,
+                                 config.lr_factor, epoch)
+                for feats, labels in batches(ds, config.batch_size, config.seed,
+                                             epoch):
+                    trace = forward(net, feats)
+                    parts, seeds, centers = _objective(config, net, trace,
+                                                       labels, centers)
+                    if not math.isfinite(parts[2]):
+                        _score_pending(pending, records)
+                        last = records[-1] if records else None
+                        raise NumericError(f"non-finite loss at step {step}; "
+                                           f"last finite record: {last}")
 
-                cls_value, ce_grad = losses.softmax_cross_entropy(logits, labels)
-                latent_grad = None
-                if centers is not None:
-                    c_value, latent_grad, centers = losses.center_loss(
-                        latent, labels, centers, config.center_rate
+                    grads = backward(net, trace, *seeds)
+                    trained, velocity = optim.sgd_step(
+                        params[:n_trained], grads[:n_trained], velocity, lr,
+                        config.momentum, config.weight_decay
                     )
-                    cls_value += c_value
+                    params = trained + params[n_trained:]
+                    net = net.replace_parameters(params)
 
-                re_value = 0.0
-                w_grad = None
-                if config.use_reconstruction:
-                    re_value, re_latent, re_w = losses.reconstruction_loss(
-                        latent, labels, net.final_weight
-                    )
-                    re_latent = config.lam * re_latent
-                    latent_grad = (
-                        re_latent if latent_grad is None else latent_grad + re_latent
-                    )
-                    # Nothing applies a frozen decision weight's gradient.
-                    if not config.freeze_final:
-                        w_grad = config.lam * re_w
-
-                total = losses.total_loss(cls_value, re_value, config.lam)
-                if not math.isfinite(total):
-                    _score_pending(pending, records)
-                    last = records[-1] if records else None
-                    raise NumericError(
-                        f"non-finite loss at step {step}; last finite record: {last}"
-                    )
-
-                grads = backward(net, trace, ce_grad, latent_grad, w_grad)
-                trained, velocity = optim.sgd_step(
-                    params[:n_trained], grads[:n_trained], velocity, lr,
-                    config.momentum, config.weight_decay
-                )
-                params = trained + params[n_trained:]
-                net = net.replace_parameters(params)
-
-                batch_acc = (np.count_nonzero(decide_classes(logits) == labels)
-                             / len(labels))
-                pending.append((step, epoch, cls_value, re_value, total,
-                                batch_acc, net.final_weight))
-                step += 1
-                if len(pending) >= EPSILON_PASS_STEPS:
-                    _score_pending(pending, records)
+                    hits = np.count_nonzero(decide_classes(trace.logits) == labels)
+                    pending.append((step, epoch, *parts, hits / len(labels),
+                                    net.final_weight))
+                    step += 1
+                    if len(pending) >= EPSILON_PASS_STEPS:
+                        _score_pending(pending, records)
+                _score_pending(pending, records)
+        finally:
+            # A step that raised leaves the steps before it unscored; a bad form
+            # among them came first at that point, so it is the error raised.
             _score_pending(pending, records)
-    finally:
-        # A step that raised leaves the steps before it unscored; a bad form
-        # among them came first at that point, so it is the error raised.
-        _score_pending(pending, records)
 
     return RunArtifact(
         config=config,

@@ -21,8 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def checkout_env(**extra):
     """The environment with ``extra`` set and this checkout's ``src/`` and
     root first on PYTHONPATH, so a child process imports this weightsep, and
-    this ``tests`` package, with no install."""
-    env = dict(os.environ, **extra)
+    this ``tests`` package, with no install. As in the suite's own process, a
+    numpy RuntimeWarning in the child is an error."""
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **extra}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")) if p)
     return env
@@ -85,7 +86,8 @@ def config_with(text, key, value):
 def rewrite_checkpoint(src, dst, edit_header=None, edit_payload=None):
     """Copy checkpoint ``src`` to ``dst`` with its JSON header and/or raw
     payload bytes edited, under a valid checksum, so the edit gets past the
-    checksum to the parser."""
+    checksum to the parser. The header is re-encoded as ``save_checkpoint``
+    encodes it, keys sorted, so only the edit itself can change its bytes."""
     data = src.read_bytes()
     (header_len,) = struct.unpack(">I", data[8:12])
     header = json.loads(data[12 : 12 + header_len].decode())
@@ -94,7 +96,7 @@ def rewrite_checkpoint(src, dst, edit_header=None, edit_payload=None):
         header = edit_header(header)
     if edit_payload:
         payload = edit_payload(payload)
-    header_bytes = json.dumps(header).encode()
+    header_bytes = json.dumps(header, sort_keys=True).encode()
     blob = data[:8] + struct.pack(">I", len(header_bytes)) + header_bytes
     blob += payload
     dst.write_bytes(blob + struct.pack(">I", zlib.crc32(blob) & 0xFFFFFFFF))

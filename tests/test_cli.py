@@ -16,6 +16,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -658,14 +659,29 @@ def test_orientation_error_exits_2_for_more_classes_than_latent_units(
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_error_exits_4(tmp_path):
     rc, _, err = run_cli(
         ["train", *BLOB_ARGS, "--epochs", "2", "--seed", "0",
          "--base-lr", "1e30", "--out", str(tmp_path / "r")]
     )
     assert rc == 4
-    assert "error:numeric:" in err
+    assert re.fullmatch(r"error:numeric: [^\n]*\n", err)
+
+
+def test_training_overflow_prints_only_its_typed_error(tmp_path):
+    # Training's own finiteness checks turn the overflow into the typed
+    # error, so numpy's warnings about it would only repeat that error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(["train", "--data", "blobs", "--epochs", "1",
+                                "--lam", "1e308", "--reconstruction",
+                                "--out", str(tmp_path / "r")])
+    assert rc == 4
+    assert [str(w.message) for w in caught] == []
+    assert err == ("error:numeric: separability forms not finite or disagree "
+                   "at step 0: inf vs inf\n")
+    assert out == ""
+    assert not (tmp_path / "r").exists()
 
 
 def test_format_error_exits_3(tmp_path):

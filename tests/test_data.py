@@ -680,6 +680,21 @@ def test_write_idx_bytes_equal_one_shot_conversion(tmp_path):
     assert img.read_bytes() == header + one_shot
 
 
+def test_write_idx_defaults_to_one_row_per_image(tmp_path):
+    ds = synth_digits(per_class=2, seed=5)
+    img, lab = tmp_path / "img", tmp_path / "lab"
+    write_idx(ds, img, lab)
+    written = img.read_bytes()
+    assert written[:16] == struct.pack(">IIII", 0x00000803, len(ds), 1, ds.dim)
+    back = read_idx(img, lab)
+    assert back.features.dtype == np.uint8
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    write_idx(back, tmp_path / "img2", tmp_path / "lab2")
+    assert (tmp_path / "img2").read_bytes() == written
+    assert (tmp_path / "lab2").read_bytes() == lab.read_bytes()
+
+
 def test_write_idx_holds_no_float_copy_of_the_dataset(tmp_path):
     import tracemalloc
 

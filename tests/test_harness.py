@@ -104,6 +104,14 @@ def test_config_text_round_trip():
     assert back == cfg
 
 
+def test_config_text_skips_blank_and_comment_lines():
+    cfg = blob_config(use_reconstruction=True, class_filter=(0, 2))
+    text = "# a blobs run\n\n" + "".join(
+        line + "   \n  # the key above, annotated\n"
+        for line in config_to_text(cfg).splitlines(keepends=True))
+    assert config_from_text(text) == cfg
+
+
 def test_config_text_rejects_unknown_key():
     text = config_to_text(blob_config()) + "mystery = 3\n"
     with pytest.raises(ConfigError) as err:
@@ -739,18 +747,10 @@ def test_checkpoint_malformed_header_is_format_error(tmp_path, blob_run, mutate)
     assert "header" in str(err.value)
 
 
-def _huge_widths(header):
-    # _huge_shape's header with its keys in the order save_checkpoint writes
-    # them, so that only the payload length refuses it.
-    return {"arrays": [{"name": "layer0.weight", "shape": [2**32, 2**32]}],
-            "layers": [{"activation": "identity", "in": 2**32, "out": 2**32}],
-            "version": 1}
-
-
 @pytest.mark.parametrize("edit_header, edit_payload, what", [
     (None, lambda payload: payload[:-8], "shorter"),
     (None, lambda payload: payload + bytes(8), "longer"),
-    (_huge_widths, None, "shorter"),
+    (_huge_shape, None, "shorter"),
 ], ids=["shorter", "longer", "huge-widths"])
 def test_checkpoint_payload_length_must_match_the_header(
         tmp_path, blob_run, edit_header, edit_payload, what):
