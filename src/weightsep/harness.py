@@ -220,13 +220,13 @@ def _score_pending(pending, records):
 
 
 def _objective(config, net, trace, labels, centers):
-    """One batch's training objective: classification loss (CE, plus the
-    center loss when ``centers`` is given) plus ``config.lam`` times the
-    reconstruction loss. Returns the loss parts ``(cls, re, total)``, the
-    :func:`backward` seeds ``(ce_grad, latent_grad, w_grad)`` and new centers."""
+    """A batch's objective: CE (plus the center loss, which alone moves
+    ``centers``, under ``softmax_ce_plus_center``) plus ``config.lam`` times
+    the reconstruction loss. Returns the parts ``(cls, re, total)``, the
+    :func:`backward` seeds ``(ce_grad, latent_grad, w_grad)`` and centers."""
     cls_value, ce_grad = losses.softmax_cross_entropy(trace.logits, labels)
     latent_grad = None
-    if centers is not None:
+    if config.loss == "softmax_ce_plus_center":
         c_value, latent_grad, centers = losses.center_loss(
             trace.latent, labels, centers, config.center_rate)
         cls_value += c_value
@@ -237,9 +237,7 @@ def _objective(config, net, trace, labels, centers):
             trace.latent, labels, net.final_weight)
         re_latent = config.lam * re_latent
         latent_grad = re_latent if latent_grad is None else latent_grad + re_latent
-        # Nothing applies a frozen decision weight's gradient.
-        if not config.freeze_final:
-            w_grad = config.lam * re_w
+        w_grad = config.lam * re_w
     total = losses.total_loss(cls_value, re_value, config.lam)
     return (cls_value, re_value, total), (ce_grad, latent_grad, w_grad), centers
 
@@ -275,13 +273,11 @@ def train(config, ds):
 
     net = init_network(spec, config.seed, final_init=config.final_init)
     params = net.parameters()
-    # freeze_final keeps the decision weight, the last parameter, out of SGD.
+    # freeze_final drops the decision weight (last) and its gradient from SGD.
     n_trained = len(params) - 1 if config.freeze_final else len(params)
     velocity = tuple(np.zeros_like(p) for p in params[:n_trained])
 
-    centers = None
-    if config.loss == "softmax_ce_plus_center":
-        centers = np.zeros((spec.n_classes, spec.latent_dim))
+    centers = np.zeros((spec.n_classes, spec.latent_dim))
 
     records = []
     # Steps awaiting ε: their record fields, then the decision weight each

@@ -3,11 +3,11 @@
 Classification objectives: softmax cross-entropy and the center loss
 (squared distance of each latent feature to its running class centroid).
 Alongside them, the feed-backward reconstruction loss: each label's one-hot
-row is mapped back through the transposed decision weight into latent space,
-and the KL divergence between the softmax distribution of the true latent
-and that of the reconstruction is penalized. Driving it to zero pushes the
-transposed weight to act as an inverse of the forward map, which tightens
-the orthonormality of the decision columns.
+row is fed back through the transposed decision weight, giving that class's
+decision column as a latent reconstruction, and the penalty is
+KL(softmax(latent) || softmax(reconstruction)). Whether the term lowers the
+separability score ε is acceptance criterion 6's question: see the README's
+criterion-6 table.
 
 All batch losses reduce by the mean, so loss weights keep the same meaning
 at any batch size. Gradients are returned analytically next to each value.

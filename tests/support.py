@@ -1,5 +1,6 @@
 """Helpers the tests share that are not fixtures: the trend recipe, run
-readers, damaged-input makers, and the environment for a child process.
+readers, finite differences, damaged-input makers, and the environment for a
+child process.
 
 The tests import them as ``from tests.support import ...``. A name imported
 from ``conftest`` would bind whichever ``conftest`` module loaded last, so
@@ -69,6 +70,28 @@ CORRUPT_GZIP = {
 # matrix products across threads, and the split changes their rounding.
 SINGLE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                      "MKL_NUM_THREADS": "1"}
+
+
+def central_difference(f, x, h=1e-5):
+    """Central-difference gradient of the scalar ``f()`` with respect to the
+    array ``x``, which ``f`` reads and which is perturbed in place."""
+    g = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + h
+        hi = f()
+        x[idx] = orig - h
+        lo = f()
+        x[idx] = orig
+        g[idx] = (hi - lo) / (2 * h)
+    return g
+
+
+def relative_error(a, b):
+    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
+    return np.max(np.abs(a - b)) / denom
 
 
 # One JSON value of each type; every config field meets each of them.

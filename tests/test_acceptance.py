@@ -14,7 +14,8 @@ import pytest
 from scipy.stats import spearmanr
 
 import weightsep as ws
-from tests.support import epoch_epsilons, trend_config
+from tests.support import (central_difference, epoch_epsilons,
+                           relative_error, trend_config)
 
 
 @pytest.fixture
@@ -28,26 +29,6 @@ def report(capsys):
         assert verdict == "PASS", line
 
     return _report
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return np.max(np.abs(a - b)) / denom
-
-
-def central_difference(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        hi = f()
-        x[idx] = orig - h
-        lo = f()
-        x[idx] = orig
-        g[idx] = (hi - lo) / (2 * h)
-    return g
 
 
 def test_criterion_01_metric_form_equivalence(report):
@@ -123,21 +104,21 @@ def test_criterion_03_gradient_suite(report):
         _, g = ws.softmax_cross_entropy(logits, labels)
         fd = central_difference(
             lambda: ws.softmax_cross_entropy(logits, labels)[0], logits)
-        worst["ce"] = max(worst["ce"], rel_err(g, fd))
+        worst["ce"] = max(worst["ce"], relative_error(g, fd))
 
         centers = rng.normal(size=(n, d))
         _, g, _ = ws.center_loss(latent, labels, centers, 0.5)
         fd = central_difference(
             lambda: ws.center_loss(latent, labels, centers, 0.5)[0], latent)
-        worst["center"] = max(worst["center"], rel_err(g, fd))
+        worst["center"] = max(worst["center"], relative_error(g, fd))
 
         _, g_lat, g_w = ws.reconstruction_loss(latent, labels, w)
         fd = central_difference(
             lambda: ws.reconstruction_loss(latent, labels, w)[0], latent)
-        worst["re_latent"] = max(worst["re_latent"], rel_err(g_lat, fd))
+        worst["re_latent"] = max(worst["re_latent"], relative_error(g_lat, fd))
         fd = central_difference(
             lambda: ws.reconstruction_loss(latent, labels, w)[0], w)
-        worst["re_w"] = max(worst["re_w"], rel_err(g_w, fd))
+        worst["re_w"] = max(worst["re_w"], relative_error(g_w, fd))
 
         # composed objective: cross entropy of latent @ w plus weighted
         # reconstruction, gradients routed into both latent and w
@@ -152,9 +133,10 @@ def test_criterion_03_gradient_suite(report):
         g_w_total = latent.T @ g_logit + lam * g_w_re
         worst["total_latent"] = max(
             worst["total_latent"],
-            rel_err(g_lat_total, central_difference(f_total, latent)))
+            relative_error(g_lat_total, central_difference(f_total, latent)))
         worst["total_w"] = max(
-            worst["total_w"], rel_err(g_w_total, central_difference(f_total, w)))
+            worst["total_w"],
+            relative_error(g_w_total, central_difference(f_total, w)))
     elapsed = time.perf_counter() - start
     ok = all(v < 1e-4 for v in worst.values())
     summary = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())

@@ -55,6 +55,15 @@ BLOBS_DEEP_SHA256 = (
     "eb2d2e72313e36c1d4a29aab0601cacc1a3d887fb83f141287a9dd2379d04a84",
 )
 
+# The blobs case with the decision weight frozen at semi-orthogonal columns:
+# the only case whose step drops the decision weight's gradient, so the
+# reconstruction term moves the weights only through the latent. Recorded
+# before the term's decision-weight seed reached backward in frozen runs.
+BLOBS_FROZEN_SHA256 = (
+    "dfbb98418f0847a635981b41d86dd568aeb1ac6073dfe3bd5cc96d6a3d52f190",
+    "4fd6022d7ee78e666b25c8d14bce4e5727d1eaa5baaf662cbd664c34e9eefbcf",
+)
+
 # The criterion-5 trend recipe with the reconstruction term, cut to 2 epochs.
 DIGITS_SHA256 = (
     "e7710a7037e9fbeb68f9fd34229407f932e5167d4fd5d8bad508ec85191e705d",
@@ -109,7 +118,7 @@ def run_hashes(artifact):
                 sha256_of(ckpt.read_bytes())]
 
 
-CASES = ("blobs", "blobs_ce", "blobs_deep", "digits")
+CASES = ("blobs", "blobs_ce", "blobs_deep", "blobs_frozen", "digits")
 
 
 def golden_runs(names=CASES):
@@ -129,10 +138,13 @@ def golden_runs(names=CASES):
     blobs_ce_cfg = ws.TrainConfig(layer_dims=(32, 64, 10), epochs=3, seed=5,
                                   batch_size=32)
     blobs_deep_cfg = replace(blobs_cfg, layer_dims=(32, 24, 16, 10))
+    blobs_frozen_cfg = replace(blobs_cfg, freeze_final=True,
+                               final_init="semi_orthogonal")
     runs = {
         "blobs": lambda: ws.train(blobs_cfg, blobs),
         "blobs_ce": lambda: ws.train(blobs_ce_cfg, blobs),
         "blobs_deep": lambda: ws.train(blobs_deep_cfg, blobs),
+        "blobs_frozen": lambda: ws.train(blobs_frozen_cfg, blobs),
         "digits": lambda: ws.train(
             trend_config(1, epochs=2),
             ws.synth_digits(per_class=512, seed=11)),
@@ -191,6 +203,11 @@ def test_golden_blobs_plain_cross_entropy(golden):
 def test_golden_blobs_two_hidden_layers(golden):
     assert golden["blobs_deep"]["steps"] == 3 * 13
     assert_hashes(golden, "blobs_deep", BLOBS_DEEP_SHA256)
+
+
+def test_golden_blobs_frozen_decision_weight(golden):
+    assert golden["blobs_frozen"]["steps"] == 3 * 13
+    assert_hashes(golden, "blobs_frozen", BLOBS_FROZEN_SHA256)
 
 
 def test_golden_digits_reconstruction(golden):

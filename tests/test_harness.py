@@ -26,7 +26,8 @@ from weightsep import (
 )
 from weightsep import harness
 
-from tests.support import JSON_PROBES, config_with, rewrite_checkpoint
+from tests.support import (JSON_PROBES, central_difference, config_with,
+                           relative_error, rewrite_checkpoint)
 
 
 def blob_config(**overrides):
@@ -245,9 +246,11 @@ def test_seed_changes_trajectory(blobs_small):
 
 
 def test_class_count_mismatch(blobs_small):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="last width 5 != the data's class "
+                                          "count 3"):
         train(blob_config(layer_dims=(8, 16, 5)), blobs_small)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="first width 9 != the data's input "
+                                          "width 8"):
         train(blob_config(layer_dims=(9, 16, 3)), blobs_small)
     with pytest.raises(ConfigError):
         train(blob_config(layer_dims=(8,)), blobs_small)
@@ -282,8 +285,10 @@ def test_freeze_final_keeps_the_decision_weight_out_of_sgd(blobs_small,
         assert not np.array_equal(p, p0)
 
 
-def test_freeze_final_hands_backward_no_decision_weight_seed(blobs_small,
-                                                             monkeypatch):
+def test_backward_gets_the_reconstruction_w_seed_frozen_or_not(blobs_small,
+                                                               monkeypatch):
+    # The objective seeds the decision weight's gradient whenever the term is
+    # on; freeze_final alone decides that SGD never applies it.
     seeds = []
     backward = harness.backward
 
@@ -296,7 +301,52 @@ def test_freeze_final_hands_backward_no_decision_weight_seed(blobs_small,
         seeds.clear()
         train(blob_config(freeze_final=freeze, use_reconstruction=True,
                           epochs=1), blobs_small)
-        assert seeds and set(seeds) == {(True, not freeze)}
+        assert seeds and set(seeds) == {(True, True)}
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["trained", "frozen"])
+@pytest.mark.parametrize("use_re", [False, True], ids=["no-term", "term"])
+@pytest.mark.parametrize("loss", harness.LOSS_KINDS)
+def test_objective_is_the_public_losses_and_their_gradient(loss, use_re,
+                                                           freeze):
+    # The 6-9-5-4 net of the network tests' all-seeds gradient check.
+    lam = 0.3  # large enough that the reconstruction part shows in the check
+    cfg = blob_config(layer_dims=(6, 9, 5, 4), loss=loss, lam=lam,
+                      use_reconstruction=use_re, freeze_final=freeze)
+    rng = np.random.default_rng(29)
+    net = ws.init_network(ws.NetworkSpec(cfg.layer_dims), 3)
+    batch = rng.normal(size=(3, 6))
+    labels = rng.integers(0, 4, size=3)
+    given = rng.normal(size=(4, 5))
+    centers = given.copy()
+    trace = ws.forward(net, batch)
+    parts, seeds, new_centers = harness._objective(cfg, net, trace, labels,
+                                                   centers)
+
+    cls, _ = ws.softmax_cross_entropy(trace.logits, labels)
+    if loss == "softmax_ce_plus_center":
+        c_value, _, want_centers = ws.center_loss(trace.latent, labels, given,
+                                                  cfg.center_rate)
+        cls += c_value
+        assert np.array_equal(new_centers, want_centers)
+    else:
+        assert new_centers is centers
+    assert np.array_equal(centers, given)
+    re_value = (ws.reconstruction_loss(trace.latent, labels,
+                                       net.final_weight)[0]
+                if use_re else 0.0)
+    assert parts == (cls, re_value, ws.total_loss(cls, re_value, lam))
+
+    grads = ws.backward(net, trace, *seeds)
+    params = [p.copy() for p in net.parameters()]
+    live = net.replace_parameters(params)
+
+    def total():
+        t = ws.forward(live, batch)
+        return harness._objective(cfg, live, t, labels, given.copy())[0][2]
+
+    for p, g in zip(params, grads):
+        assert relative_error(central_difference(total, p), g) < 1e-4
 
 
 def test_center_loss_variant_runs(blobs_small):
@@ -405,6 +455,14 @@ def test_wide_decision_layer_fails_before_training(monkeypatch, final_init):
     assert len(calls) <= 1
 
 
+@pytest.mark.parametrize("final_init", harness.FINAL_INITS)
+def test_square_decision_layer_trains(blobs_small, final_init):
+    # As many latent units as classes: the widest decision layer allowed.
+    art = train(blob_config(layer_dims=(8, 3, 3), epochs=1,
+                            final_init=final_init), blobs_small)
+    assert art.network.final_weight.shape == (3, 3)
+
+
 def pending_row(step, w):
     """One entry of train's pending list: step ``step``'s record fields but
     epsilon, then its decision weight ``w``."""
@@ -471,8 +529,13 @@ def test_epsilon_pass_cap_keeps_the_metric_log_bytes(blobs_small, monkeypatch):
     # 8 steps an epoch, scored in passes of 3, 3 and 2 under a cap of 3.
     config = blob_config(epochs=3, use_reconstruction=True)
     default = metrics_to_csv(train(config, blobs_small).records)
+    passes = []
+    stacked = harness.stacked_epsilon
     monkeypatch.setattr(harness, "EPSILON_PASS_STEPS", 3)
+    monkeypatch.setattr(harness, "stacked_epsilon",
+                        lambda ws_: passes.append(len(ws_)) or stacked(ws_))
     assert metrics_to_csv(train(config, blobs_small).records) == default
+    assert passes == [3, 3, 2] * 3
 
 
 def test_batch_accuracy_equals_float_mean(blobs_small, monkeypatch):

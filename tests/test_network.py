@@ -17,6 +17,8 @@ from weightsep import (
     init_network,
 )
 
+from tests.support import central_difference, relative_error
+
 
 def tiny_net(dims, seed=0):
     return init_network(NetworkSpec(dims), seed)
@@ -182,26 +184,6 @@ def test_single_linear_layer_gradient():
     grads = backward(net, tr, np.ones((4, 2)), np.zeros((4, 3)))
     expect = batch.T @ np.ones((4, 2))
     assert np.max(np.abs(grads[0] - expect)) < 1e-12
-
-
-def central_difference(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        hi = f()
-        x[idx] = orig - h
-        lo = f()
-        x[idx] = orig
-        g[idx] = (hi - lo) / (2 * h)
-    return g
-
-
-def relative_error(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return np.max(np.abs(a - b)) / denom
 
 
 def test_backward_matches_finite_differences():
