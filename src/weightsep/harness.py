@@ -586,7 +586,7 @@ def _header(spec):
         ],
         "arrays": [
             {"name": name, "shape": list(shape)}
-            for name, shape, _ in spec.parameter_layout()
+            for name, shape in spec.parameter_layout()
         ],
     }, sort_keys=True).encode()
 
@@ -639,13 +639,13 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: checkpoint header is not the one written "
                           f"for the widths {spec.dims}")
     layout = spec.parameter_layout()
-    promised = 8 * sum(math.prod(shape) for _, shape, _ in layout)
+    promised = 8 * sum(math.prod(shape) for _, shape in layout)
     stored = len(blob) - 4 - offset
     if stored != promised:
         what = "shorter" if stored < promised else "longer"
         raise FormatError(f"{path}: payload {what} than header promises")
     params = []
-    for name, shape, _ in layout:
+    for name, shape in layout:
         count = math.prod(shape)
         arr = np.frombuffer(blob, "<f8", count, offset).reshape(shape)
         if not np.isfinite(arr).all():

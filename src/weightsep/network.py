@@ -54,15 +54,15 @@ class NetworkSpec:
         return self.dims[-1]
 
     def parameter_layout(self):
-        """``(name, shape, is_weight)`` of each parameter in flat order,
-        ``[W0, b0, W1, b1, ..., W_last]``: every layer's weight, then its bias
+        """``(name, shape)`` of each parameter in flat order, ``[W0, b0, W1,
+        b1, ..., W_last]``: every layer's weight, a 2-D entry, then its bias
         unless it is the decision layer. The one statement of that order."""
         last = len(self.dims) - 2
         out = []
         for k, (n_in, n_out) in enumerate(zip(self.dims, self.dims[1:])):
-            out.append((f"layer{k}.weight", (n_in, n_out), True))
+            out.append((f"layer{k}.weight", (n_in, n_out)))
             if k < last:
-                out.append((f"layer{k}.bias", (n_out,), False))
+                out.append((f"layer{k}.bias", (n_out,)))
         return out
 
 
@@ -70,8 +70,8 @@ class Network:
     """Parameter set for a :class:`NetworkSpec`, built from the flat list
     its :meth:`NetworkSpec.parameter_layout` describes.
 
-    ``weights[k]`` is (in_dim x out_dim) for layer k; ``biases[k]`` is a
-    vector for hidden layers and ``None`` for the final layer.
+    ``weights[k]`` is (in_dim x out_dim) for layer k, the 2-D parameters;
+    ``biases[k]`` is hidden layer k's vector, and the decision layer has none.
     """
 
     def __init__(self, spec, params):
@@ -81,14 +81,13 @@ class Network:
             raise ShapeError(
                 f"{len(params)} parameters for a layout of {len(layout)}"
             )
-        for (name, shape, _), p in zip(layout, params):
+        for (name, shape), p in zip(layout, params):
             if p.shape != shape:
                 raise ShapeError(f"{name}: shape {p.shape} != {shape}")
         self.spec = spec
         self._params = tuple(params)
-        self.weights = [p for p, (_, _, w) in zip(params, layout) if w]
-        self.biases = [p for p, (_, _, w) in zip(params, layout) if not w]
-        self.biases.append(None)
+        self.weights = [p for p in params if p.ndim == 2]
+        self.biases = [p for p in params if p.ndim == 1]
 
     @property
     def final_weight(self):
@@ -126,24 +125,21 @@ def init_network(spec, seed, final_init="uniform_scaled"):
         weights.append(w)
     it = iter(weights)
     return Network(spec, [
-        next(it) if is_weight else np.zeros(shape)
-        for _, shape, is_weight in spec.parameter_layout()
+        next(it) if len(shape) == 2 else np.zeros(shape)
+        for _, shape in spec.parameter_layout()
     ])
 
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything the backward pass needs: the input batch and per-layer
-    activations (post-nonlinearity)."""
+    """Everything the backward pass needs: ``activations`` holds the input
+    batch, then each layer's output (post-nonlinearity)."""
 
-    inputs: np.ndarray
     activations: tuple
 
     @property
     def latent(self):
         """Activation feeding the decision layer (batch x latent_dim)."""
-        if len(self.activations) == 1:
-            return self.inputs
         return self.activations[-2]
 
     @property
@@ -166,14 +162,11 @@ def forward(net, batch):
             f"forward: batch width {batch.shape[1]} != "
             f"input dim {net.spec.input_dim}"
         )
-    a = batch
-    acts = []
-    for w, b in zip(net.weights, net.biases):
-        # relu falls exactly on the layers with a bias: all but the last.
-        z = a @ w
-        a = z if b is None else np.maximum(z + b, 0.0)
-        acts.append(a)
-    return ForwardTrace(inputs=batch, activations=tuple(acts))
+    acts = [batch]
+    for w, b in zip(net.weights[:-1], net.biases):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    acts.append(acts[-1] @ net.final_weight)
+    return ForwardTrace(activations=tuple(acts))
 
 
 def decide_classes(logits):
@@ -197,7 +190,6 @@ def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     layer's gradient; either may be None. Returns a tuple aligned with
     :meth:`Network.parameters`.
     """
-    batch = trace.inputs
     logit_grad = _as_seed("logit_grad", logit_grad, trace.logits.shape)
 
     # Decision layer: identity activation, no bias. Gradients are collected
@@ -221,10 +213,9 @@ def backward(net, trace, logit_grad, latent_grad=None, w_grad=None):
     for k in range(n_hidden - 1, -1, -1):
         # Every hidden layer is relu, and relu(z) > 0 exactly where z > 0,
         # so the activation masks alike.
-        delta = delta * (trace.activations[k] > 0.0)
-        below = batch if k == 0 else trace.activations[k - 1]
+        delta = delta * (trace.activations[k + 1] > 0.0)
         grads.append(delta.sum(axis=0))
-        grads.append(below.T @ delta)
+        grads.append(trace.activations[k].T @ delta)
         if k:
             delta = delta @ net.weights[k].T
     grads.reverse()

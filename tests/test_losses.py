@@ -14,26 +14,7 @@ from weightsep import (
     softmax_cross_entropy,
     total_loss,
 )
-
-
-def central_difference_scalar(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        hi = f()
-        x[idx] = orig - h
-        lo = f()
-        x[idx] = orig
-        g[idx] = (hi - lo) / (2 * h)
-    return g
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
-    return np.max(np.abs(a - b)) / denom
+from tests.support import central_difference, relative_error
 
 
 # --- softmax ----------------------------------------------------------
@@ -140,10 +121,10 @@ def test_ce_finite_differences():
         logits = rng.normal(size=(4, 6))
         labels = rng.integers(0, 6, size=4)
         _, grad = softmax_cross_entropy(logits, labels)
-        fd = central_difference_scalar(
+        fd = central_difference(
             lambda: softmax_cross_entropy(logits, labels)[0], logits
         )
-        assert rel_err(fd, grad) < 1e-4
+        assert relative_error(fd, grad) < 1e-4
 
 
 # --- center loss ------------------------------------------------------
@@ -264,10 +245,10 @@ def test_center_loss_finite_differences():
     labels = rng.integers(0, 2, size=5)
     centers = rng.normal(size=(2, 3))
     _, grad, _ = center_loss(latent, labels, centers, 0.5)
-    fd = central_difference_scalar(
+    fd = central_difference(
         lambda: center_loss(latent, labels, centers, 0.5)[0], latent
     )
-    assert rel_err(fd, grad) < 1e-4
+    assert relative_error(fd, grad) < 1e-4
 
 
 # --- reconstruction loss ----------------------------------------------
@@ -370,14 +351,14 @@ def test_reconstruction_finite_differences_both_gradients():
         labels = rng.integers(0, n, size=b)
         w = rng.normal(size=(m, n))
         _, lat_g, w_g = reconstruction_loss(latent, labels, w)
-        fd_lat = central_difference_scalar(
+        fd_lat = central_difference(
             lambda: reconstruction_loss(latent, labels, w)[0], latent
         )
-        fd_w = central_difference_scalar(
+        fd_w = central_difference(
             lambda: reconstruction_loss(latent, labels, w)[0], w
         )
-        assert rel_err(fd_lat, lat_g) < 1e-4
-        assert rel_err(fd_w, w_g) < 1e-4
+        assert relative_error(fd_lat, lat_g) < 1e-4
+        assert relative_error(fd_w, w_g) < 1e-4
 
 
 def dense_reconstruction_oracle(latent, labels, w):

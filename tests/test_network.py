@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import weightsep as ws
 from weightsep import (
@@ -14,6 +15,7 @@ from weightsep import (
     backward,
     decide_classes,
     forward,
+    harness,
     init_network,
 )
 
@@ -51,7 +53,7 @@ def test_init_ranges_and_bias():
     w0 = net.weights[0]
     assert np.max(np.abs(w0)) <= 1.0 / np.sqrt(20)
     assert np.array_equal(net.biases[0], np.zeros(12))
-    assert net.biases[-1] is None  # decision layer carries no bias
+    assert len(net.biases) == 1  # decision layer carries no bias
 
 
 def test_init_deterministic_per_seed():
@@ -72,6 +74,17 @@ def test_semi_orthogonal_final_option():
     spec = NetworkSpec((8, 6, 4))
     net = init_network(spec, 3, final_init="semi_orthogonal")
     assert ws.separability_metric(net.final_weight) < 1e-12
+
+
+def test_uniform_unit_final_option():
+    spec = NetworkSpec((8, 6, 4))
+    unit = init_network(spec, 3, final_init="uniform_unit")
+    scaled = init_network(spec, 3)
+    # Only the decision weight differs: its stream's draw, on [-1, 1]
+    # rather than [-1/sqrt(6), 1/sqrt(6)].
+    assert np.array_equal(unit.weights[0], scaled.weights[0])
+    assert np.allclose(unit.final_weight, scaled.final_weight * np.sqrt(6),
+                       rtol=0, atol=1e-12)
 
 
 # --- forward ----------------------------------------------------------
@@ -109,7 +122,8 @@ def test_forward_matches_per_sample_loop():
 
 def test_forward_width_mismatch():
     net = tiny_net((5, 7, 3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError,
+                       match=r"^forward: batch width 4 != input dim 5$"):
         forward(net, np.zeros((2, 4)))
 
 
@@ -264,10 +278,9 @@ def full_chain_backward(net, trace, logit_grad, latent_grad=None,
     if latent_grad is not None:
         delta = delta + latent_grad
     for k in range(len(net.spec.dims) - 3, -1, -1):
-        delta = delta * (trace.activations[k] > 0.0)
-        below = trace.inputs if k == 0 else trace.activations[k - 1]
+        delta = delta * (trace.activations[k + 1] > 0.0)
         grads.append(delta.sum(axis=0))
-        grads.append(below.T @ delta)
+        grads.append(trace.activations[k].T @ delta)
         delta = delta @ net.weights[k].T
     grads.reverse()
     return tuple(grads)
@@ -334,6 +347,42 @@ def test_backward_all_seeds_match_finite_differences():
             assert relative_error(fd, g) < 1e-4
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+       loss=st.sampled_from(harness.LOSS_KINDS), use_re=st.booleans(),
+       lam=st.floats(0.0, 1.0), freeze=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_objective_gradient_on_random_networks(dims, loss, use_re, lam,
+                                               freeze, seed):
+    """Every parameter's gradient from the objective's seeds matches central
+    differences of its total, with or without hidden layers."""
+    cfg = ws.TrainConfig(layer_dims=dims, epochs=1, seed=seed, loss=loss,
+                         use_reconstruction=use_re, lam=lam,
+                         freeze_final=freeze)
+    net = tiny_net(dims, seed)
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(3, dims[0]))
+    labels = rng.integers(0, dims[-1], size=3)
+    centers = rng.normal(size=(dims[-1], dims[-2]))
+    trace = forward(net, batch)
+    # Central differences are wrong at a relu kink.
+    for a, w, b in zip(trace.activations, net.weights, net.biases):
+        assume(np.min(np.abs(a @ w + b)) > 1e-3)
+    _, seeds, _ = harness._objective(cfg, net, trace, labels, centers.copy())
+    grads = backward(net, trace, *seeds)
+
+    params = [p.copy() for p in net.parameters()]
+    live = net.replace_parameters(params)
+
+    def total():
+        t = forward(live, batch)
+        return harness._objective(cfg, live, t, labels, centers.copy())[0][2]
+
+    assert len(grads) == len(params)
+    for p, g in zip(params, grads):
+        assert relative_error(central_difference(total, p), g) < 1e-4
+
+
 def test_forward_backward_deterministic():
     net = tiny_net((5, 8, 3), seed=21)
     batch = np.random.default_rng(22).normal(size=(4, 5))
@@ -371,16 +420,13 @@ def test_replace_parameters_validates_shapes():
 def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
     spec = NetworkSpec(dims)
     layout = spec.parameter_layout()
-    assert [name for name, _, _ in layout] == names
-    shapes = [shape for _, shape, _ in layout]
-    assert [is_weight for _, _, is_weight in layout] == [
-        name.endswith(".weight") for name in names
-    ]
+    assert [name for name, _ in layout] == names
+    shapes = [shape for _, shape in layout]
 
     net = init_network(spec, 0)
     assert [p.shape for p in net.parameters()] == shapes
     assert [w.shape for w in net.weights] == [s for s in shapes if len(s) == 2]
-    assert net.biases[-1] is None
+    assert [b.shape for b in net.biases] == [s for s in shapes if len(s) == 1]
 
     path = tmp_path / "model.bin"
     ws.save_checkpoint(net, path)
@@ -388,7 +434,7 @@ def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
     (header_len,) = struct.unpack(">I", data[8:12])
     header = json.loads(data[12 : 12 + header_len].decode())
     assert header["arrays"] == [
-        {"name": name, "shape": list(shape)} for name, shape, _ in layout
+        {"name": name, "shape": list(shape)} for name, shape in layout
     ]
 
     batch = np.random.default_rng(5).normal(size=(2, dims[0]))
@@ -396,7 +442,7 @@ def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
     grads = backward(net, trace, np.ones_like(trace.logits))
     assert [g.shape for g in grads] == shapes
 
-    # sgd_step decays the 2-D arrays, which are exactly the weights
+    # a weight is a 2-D entry, and sgd_step decays exactly those
     assert [len(shape) == 2 for shape in shapes] == [
         name.endswith(".weight") for name in names
     ]
@@ -406,7 +452,7 @@ def test_parameter_layout_is_read_by_every_consumer(tmp_path, dims, names):
         Network(spec, params[:-1])
     with pytest.raises(ShapeError):
         Network(spec, params + [np.zeros(1)])
-    for k, (name, shape, _) in enumerate(layout):
+    for k, (name, shape) in enumerate(layout):
         bad = list(params)
         bad[k] = np.zeros(shape + (1,))
         with pytest.raises(ShapeError, match=name):

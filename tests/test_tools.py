@@ -17,7 +17,9 @@ class K:
         """Doc."""
         if not a and b is None:
             return a < 2
-        return a == b
+        a -= b * 2
+        a /= b @ a
+        return a + b == b
 
 
 def g():
@@ -43,10 +45,16 @@ def test_each_mutant_changes_one_operator_of_the_named_function():
         "9: a < 2 -> a <= 2",
         "9: 2 -> 3",
         "9: 2 -> 1",
-        "10: a == b -> a != b",
+        "10: a -= b * 2 -> a += b * 2",
+        "10: b * 2 -> b / 2",
+        "10: 2 -> 3",
+        "10: 2 -> 1",
+        "11: a /= b @ a -> a *= b @ a",
+        "12: a + b == b -> a + b != b",
+        "12: a + b -> a - b",
     ]
     head = SOURCE.split("    def f")[0]
-    tail = SOURCE.split("return a == b\n")[1]
+    tail = SOURCE.split("return a + b == b\n")[1]
     for text, _ in found:
         ast.parse(text)
         assert text.startswith(head) and text.endswith(tail)

@@ -12,6 +12,9 @@ Each mutant changes one site of the function:
 - a comparison boundary (``<`` and ``<=``, ``>`` and ``>=``), ``==`` and
   ``!=``, or ``is`` and ``is not``, each swapped for the other;
 - ``and`` and ``or``, each swapped for the other;
+- ``+`` and ``-``, or ``*`` and ``/``, each swapped for the other, in an
+  expression or an augmented assignment such as ``x += y`` (``@`` is never
+  swapped);
 - a ``not`` dropped;
 - an integer constant moved by +1 or -1.
 
@@ -47,7 +50,9 @@ TIMEOUT_S = 600
 
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
-         ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+         ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And,
+         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div,
+         ast.Div: ast.Mult}
 
 ONE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                   "MKL_NUM_THREADS": "1"}
@@ -78,7 +83,8 @@ def mutations(node):
                 new = copy.deepcopy(node)
                 new.ops[i] = SWAPS[type(op)]()
                 out.append(new)
-    elif isinstance(node, ast.BoolOp):
+    elif (isinstance(node, (ast.BoolOp, ast.BinOp, ast.AugAssign))
+          and type(node.op) in SWAPS):
         new = copy.deepcopy(node)
         new.op = SWAPS[type(node.op)]()
         out.append(new)
