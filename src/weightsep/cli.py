@@ -9,6 +9,7 @@ and exit with a category-specific nonzero code.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -25,7 +26,7 @@ from .data import (
     synth_blobs,
     synth_digits,
 )
-from .errors import ConfigError, WeightsepError
+from .errors import ConfigError, NumericError, WeightsepError
 from .network import FINAL_INITS
 from .rng import check_seed
 from .separability import format_epsilon, separability_metric, separability_metric_trace_form
@@ -258,12 +259,16 @@ def cmd_similarity(args):
 
 
 def cmd_eval_metric(args):
-    net = harness.load_checkpoint(args.checkpoint)
-    w = net.final_weight
+    w = harness.load_checkpoint(args.checkpoint).final_weight
+    # Both forms are computed, and checked, before anything is printed.
+    frobenius = separability_metric(w)
+    trace_form = separability_metric_trace_form(w)
+    if not (math.isfinite(frobenius) and math.isfinite(trace_form)):
+        raise NumericError(f"separability forms not finite: {frobenius} vs "
+                           f"{trace_form}")
     print(f"decision matrix: {w.shape[0]} x {w.shape[1]}")
-    print(f"separability (frobenius form): {format_epsilon(separability_metric(w))}")
-    print(f"separability (trace form):     "
-          f"{format_epsilon(separability_metric_trace_form(w))}")
+    print(f"separability (frobenius form): {format_epsilon(frobenius)}")
+    print(f"separability (trace form):     {format_epsilon(trace_form)}")
     return 0
 
 

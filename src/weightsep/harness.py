@@ -181,10 +181,19 @@ class RunArtifact:
 def _forward_blocks(net, ds):
     """Yield ``(rows, trace)`` for each slice ``rows`` of ``EVAL_BLOCK_ROWS``
     rows of ``ds``, in row order: each block is decoded and run through
-    :func:`forward` alone."""
+    :func:`forward` alone. The first block whose latents or logits are not
+    finite raises :class:`NumericError` naming its rows, with no numpy
+    warning first."""
     for start in range(0, len(ds), EVAL_BLOCK_ROWS):
         rows = slice(start, start + EVAL_BLOCK_ROWS)
-        yield rows, forward(net, ds.rows(rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = forward(net, ds.rows(rows))
+        if not (np.isfinite(trace.latent).all()
+                and np.isfinite(trace.logits).all()):
+            stop = min(rows.stop, len(ds))
+            raise NumericError(f"rows {start}-{stop - 1}: latents or logits "
+                               "not finite")
+        yield rows, trace
 
 
 def evaluate_accuracy(net, ds):
@@ -459,7 +468,8 @@ class SimilarityRow:
 def similarity_report(net, ds):
     """Per class: distance between the class's mean latent activation and
     the matching decision column, as Euclidean distance and cosine distance
-    (1 - cosine similarity)."""
+    (1 - cosine similarity). A distance that is not finite raises
+    :class:`NumericError` naming its class, with no numpy warning first."""
     w = net.final_weight
     if w.shape[1] != ds.n_classes:
         raise ConfigError(
@@ -472,14 +482,18 @@ def similarity_report(net, ds):
         member = ds.labels == c
         if not member.any():
             raise DataError(f"class {c} has no samples")
-        mean_latent = latents[member].mean(axis=0)
         col = w[:, c]
-        euclid = float(np.linalg.norm(mean_latent - col))
-        denom = np.linalg.norm(mean_latent) * np.linalg.norm(col)
-        if denom == 0.0:
-            cosine = 1.0 if euclid > 0 else 0.0
-        else:
-            cosine = float(1.0 - mean_latent @ col / denom)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_latent = latents[member].mean(axis=0)
+            euclid = float(np.linalg.norm(mean_latent - col))
+            denom = np.linalg.norm(mean_latent) * np.linalg.norm(col)
+            if denom == 0.0:
+                cosine = 1.0 if euclid > 0 else 0.0
+            else:
+                cosine = float(1.0 - mean_latent @ col / denom)
+        if not (math.isfinite(euclid) and math.isfinite(cosine)):
+            raise NumericError(f"class {c}: distances not finite "
+                               f"(euclidean {euclid}, cosine {cosine})")
         rows.append(
             SimilarityRow(class_index=c, euclidean=euclid, cosine_distance=cosine)
         )

@@ -109,7 +109,8 @@ def pca_reduce(x, k):
     Data are mean-centered first; component directions are orthonormal and
     ordered by non-increasing projected variance. The sign of each direction
     is fixed so its largest-magnitude entry is positive. A covariance that
-    is not finite (an input too large to square) raises :class:`NumericError`.
+    is not finite (an input too large to square) raises :class:`NumericError`
+    with no numpy warning first.
     """
     x = as_matrix(x, "x")
     n_samples, n_features = x.shape
@@ -120,8 +121,9 @@ def pca_reduce(x, k):
     if n_samples < 2:
         raise ShapeError(f"pca_reduce: need at least 2 samples, got {n_samples}")
 
-    centered = x - x.mean(axis=0)
-    cov = (centered.T @ centered) / (n_samples - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = (centered.T @ centered) / (n_samples - 1)
     _, vecs = jacobi_eigh(cov)
     basis = vecs[:, :k]
     anchor = np.argmax(np.abs(basis), axis=0)

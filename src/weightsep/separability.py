@@ -25,7 +25,8 @@ def error_matrix(w):
     """Gram-matrix error ``W^T W - I`` of the columns of ``w``.
 
     Zero exactly when the columns are orthonormal. The result is n x n and
-    symmetric, where n is the column count.
+    symmetric, where n is the column count. A product that overflows gives
+    non-finite entries, without a numpy warning, for the caller to reject.
     """
     w = as_matrix(w, "w")
     m, n = w.shape
@@ -34,7 +35,8 @@ def error_matrix(w):
             f"error_matrix: {w.shape} has more columns than rows; decision "
             "kernels must be columns - pass the transpose for row-kernel layouts"
         )
-    e = w.T @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = w.T @ w
     e.flat[::n + 1] -= 1.0  # as ``- np.eye(n)`` does, since x - 0.0 is x
     return e
 
@@ -64,14 +66,16 @@ def separability_report(w):
     """Both metric forms and the error matrix for the given weight matrix,
     all from one error matrix: ``epsilon`` is the Frobenius form and
     ``epsilon_trace`` the trace form. A non-finite weight, error matrix or
-    squared error matrix raises :class:`NumericError`."""
+    squared error matrix raises :class:`NumericError`, with no numpy warning
+    first; a sum that overflows gives an infinite form."""
     e = error_matrix(w)
     n = e.shape[0]
-    return SeparabilityReport(
-        epsilon=frobenius_norm_sq(e) / n,
-        epsilon_trace=trace(e @ e) / n,
-        error_matrix=e,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SeparabilityReport(
+            epsilon=frobenius_norm_sq(e) / n,
+            epsilon_trace=trace(e @ e) / n,
+            error_matrix=e,
+        )
 
 
 def stacked_epsilon(ws):

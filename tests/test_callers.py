@@ -1,12 +1,16 @@
-"""Callers outside the package: the demo scripts and the benchmark's tracer.
+"""Callers outside the package: the demo scripts, the README's library
+tour, the acceptance tests and the benchmark.
 
 Each reaches the package through names that a refactor can remove; these
-tests fail in the suite rather than in a demo run or a benchmark run. A scan
-of the package's own source keeps whole-split decodes out of it.
+tests fail in the suite rather than in a demo run or a benchmark run. The
+same scan keeps ``weightsep.__all__`` to the names those callers reach. A
+scan of the package's own source keeps whole-split decodes out of it.
 """
 
 import ast
 import importlib.util
+import inspect
+import re
 import subprocess
 import sys
 
@@ -23,6 +27,61 @@ def load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def caller_sources():
+    """``{where: python source}`` for every demo, every python block of the
+    README, every benchmark module and the acceptance tests."""
+    paths = [*sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        sources[f"README.md python block {i + 1}"] = block
+    return sources
+
+
+def names_reached(source):
+    """Names ``source`` reaches on the package: ``from weightsep import
+    name``, and ``alias.name`` for each ``import weightsep [as alias]``."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == "weightsep"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "weightsep":
+            names.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            names.add(node.attr)
+    return {name for name in names if not name.startswith("__")}
+
+
+def is_submodule(name):
+    return importlib.util.find_spec(f"weightsep.{name}") is not None
+
+
+def test_the_surface_is_what_the_callers_reach():
+    reached = {}
+    for where, source in caller_sources().items():
+        for name in names_reached(source):
+            reached.setdefault(name, where)
+    off_surface = [f"{where}: {name}" for name, where in sorted(reached.items())
+                   if name not in ws.__all__ and not is_submodule(name)]
+    assert not off_surface
+    # Beyond what the callers reach, the surface holds only the typed
+    # errors, which carry the exit-code contract.
+    unreached = [name for name in ws.__all__ if name not in reached
+                 and not (inspect.isclass(getattr(ws, name))
+                          and issubclass(getattr(ws, name), ws.WeightsepError))]
+    assert not unreached
+    assert not [name for name in ws.__all__ if name.startswith("_")
+                or inspect.ismodule(getattr(ws, name))]
 
 
 def test_every_traced_binding_exists():

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 import weightsep
-from weightsep import (DataError, Dataset, cli, config_from_text, harness,
-                       write_idx)
+from weightsep import DataError, Dataset, cli, harness, write_idx
 from weightsep.cli import main
+from weightsep.harness import config_from_text, config_to_text
 
 from tests.support import (CORRUPT_GZIP, JSON_PROBES, ROOT, SINGLE_THREAD_ENV,
                            checkout_env, config_with, rewrite_checkpoint)
@@ -208,7 +208,7 @@ def test_bad_config_value_exits_2_before_loading_data(
     if by == "file":
         base = weightsep.TrainConfig(layer_dims=(32, 8, 10), epochs=1, seed=0)
         config = tmp_path / "config.txt"
-        config.write_text(config_with(weightsep.config_to_text(base), key, line))
+        config.write_text(config_with(config_to_text(base), key, line))
         argv += ["--config", str(config)]
     else:
         argv += [f"{flag}={value}"]
@@ -229,8 +229,8 @@ def test_bad_hidden_width_exits_2_before_loading_data(tmp_path, monkeypatch,
     if by == "file":
         base = weightsep.TrainConfig(layer_dims=(784, 64, 10), epochs=1, seed=0)
         config = tmp_path / "config.txt"
-        config.write_text(config_with(weightsep.config_to_text(base),
-                                      "layer_dims", str(list(dims))))
+        config.write_text(config_with(config_to_text(base), "layer_dims",
+                                      str(list(dims))))
         argv += ["--config", str(config)]
     else:
         argv += ["--layer-dims=" + ",".join(map(str, dims))]
@@ -530,7 +530,7 @@ def test_every_config_file_value_exits_0_or_2(tmp_path, key):
     base = weightsep.TrainConfig(
         layer_dims=(32, 8, 3), epochs=1, seed=0, batch_size=64,
         loss="softmax_ce_plus_center", use_reconstruction=True)
-    text = weightsep.config_to_text(base)
+    text = config_to_text(base)
     config = tmp_path / "config.txt"
     for value in JSON_PROBES:
         config.write_text(config_with(text, key, value))
@@ -548,8 +548,7 @@ def test_center_rate_outside_zero_one_exits_2(tmp_path, rate, rc):
     base = weightsep.TrainConfig(layer_dims=(32, 8, 3), epochs=1, seed=0,
                                  batch_size=64, loss="softmax_ce_plus_center")
     config = tmp_path / "config.txt"
-    config.write_text(config_with(weightsep.config_to_text(base),
-                                  "center_rate", rate))
+    config.write_text(config_with(config_to_text(base), "center_rate", rate))
     run_dir = tmp_path / "r"
     code, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
                             "--config", str(config), "--out", str(run_dir)])
@@ -581,7 +580,7 @@ def test_layer_dims_must_match_the_data(tmp_path, dims, named):
 def test_config_file_layer_dims_must_match_the_data(tmp_path):
     base = weightsep.TrainConfig(layer_dims=(32, 8, 10), epochs=1, seed=0)
     config = tmp_path / "config.txt"
-    config.write_text(weightsep.config_to_text(base))
+    config.write_text(config_to_text(base))
     rc, _, err = run_cli(["train", "--data", "blobs", "--classes", "0,1,2",
                           "--config", str(config), "--out", str(tmp_path / "r")])
     assert rc == 2
@@ -668,16 +667,22 @@ def test_numeric_error_exits_4(tmp_path):
     assert re.fullmatch(r"error:numeric: [^\n]*\n", err)
 
 
+def run_cli_unwarned(argv):
+    """``run_cli``, failing on any warning the command raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
 def test_training_overflow_prints_only_its_typed_error(tmp_path):
     # Training's own finiteness checks turn the overflow into the typed
     # error, so numpy's warnings about it would only repeat that error.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out, err = run_cli(["train", "--data", "blobs", "--epochs", "1",
-                                "--lam", "1e308", "--reconstruction",
-                                "--out", str(tmp_path / "r")])
+    rc, out, err = run_cli_unwarned(["train", "--data", "blobs", "--epochs",
+                                     "1", "--lam", "1e308", "--reconstruction",
+                                     "--out", str(tmp_path / "r")])
     assert rc == 4
-    assert [str(w.message) for w in caught] == []
     assert err == ("error:numeric: separability forms not finite or disagree "
                    "at step 0: inf vs inf\n")
     assert out == ""
@@ -734,6 +739,58 @@ def test_nonfinite_checkpoint_exits_4(train_run, tmp_path):
     rc, _, err = run_cli(["eval-metric", str(bad)])
     assert rc == 4
     assert err.startswith("error:numeric:")
+
+
+def edited_checkpoint(train_run, path, index, edit):
+    """The ``train_run`` checkpoint with parameter ``index`` replaced by
+    ``edit`` of it: finite values, written by save_checkpoint, that overflow
+    in what a checkpoint command computes."""
+    _, _, run_dir = train_run
+    net = harness.load_checkpoint(run_dir / "checkpoint.bin")
+    params = net.parameters()
+    params[index] = edit(params[index])
+    harness.save_checkpoint(net.replace_parameters(params), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda w: w * 1e160, "matrix: non-finite entries"),
+    # W'W - I is 1e154 I: each squared entry is finite, their sum is not.
+    (lambda w: weightsep.semi_orthogonal_init(16, 3, seed=0) * 1e77,
+     "separability forms not finite: inf vs inf"),
+], ids=["gram-overflows", "sum-overflows"])
+def test_eval_metric_on_an_overflowing_decision_weight_prints_only_its_error(
+        train_run, tmp_path, edit, message):
+    ckpt = edited_checkpoint(train_run, tmp_path / "c.bin", -1, edit)
+    rc, out, err = run_cli_unwarned(["eval-metric", ckpt])
+    assert rc == 4
+    assert out == ""
+    assert err == f"error:numeric: {message}\n"
+
+
+# W0 x 1e306 keeps the latents finite but overflows what each command
+# computes from them; W0 x 1e308 overflows the forward pass itself.
+@pytest.mark.parametrize("command, scale, message", [
+    ("similarity", 1e306,
+     "class 0: distances not finite (euclidean inf, cosine 1.0)"),
+    ("similarity", 1e308, "rows 128-255: latents or logits not finite"),
+    ("export-pca", 1e306, "a: non-finite entries"),
+    ("export-pca", 1e308, "rows 128-255: latents or logits not finite"),
+], ids=["similarity-latents-finite", "similarity-latents-overflow",
+        "export-pca-latents-finite", "export-pca-latents-overflow"])
+def test_an_overflowing_checkpoint_prints_only_its_error(
+        train_run, tmp_path, command, scale, message):
+    ckpt = edited_checkpoint(train_run, tmp_path / "c.bin", 0,
+                             lambda w: w * scale)
+    out_csv = tmp_path / "latents.csv"
+    argv = {"similarity": [ckpt],
+            "export-pca": ["--checkpoint", ckpt, "--out", str(out_csv)]}
+    rc, out, err = run_cli_unwarned(
+        [command, *BLOB_ARGS[:4], "--seed", "3", *argv[command]])
+    assert rc == 4
+    assert out == ""
+    assert err == f"error:numeric: {message}\n"
+    assert not out_csv.exists()
 
 
 def test_missing_file_exits_5(tmp_path):

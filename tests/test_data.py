@@ -19,9 +19,7 @@ from weightsep import (
     FormatError,
     NumericError,
     WeightsepError,
-    batches,
     filter_classes,
-    load_mnist_dir,
     read_idx,
     synth_blobs,
     synth_digits,
@@ -32,6 +30,8 @@ from weightsep.data import (
     CANVAS_PIXELS,
     DIGIT_SIDE,
     RENDER_BLOCK_ROWS,
+    batches,
+    load_mnist_dir,
 )
 from weightsep.rng import STREAM_DATA, check_seed, generator
 

@@ -14,17 +14,24 @@ from weightsep import (
     FormatError,
     TrainConfig,
     WeightsepError,
-    config_from_text,
-    config_to_text,
     load_checkpoint,
     metrics_to_csv,
     save_checkpoint,
     similarity_report,
     train,
+)
+from weightsep import harness
+from weightsep.data import batches
+from weightsep.harness import (
+    config_from_text,
+    config_to_text,
+    experiment_loss_comparison,
     write_metrics_csv,
     write_run_artifact,
 )
-from weightsep import harness
+from weightsep.losses import total_loss
+from weightsep.network import backward, decide_classes, forward
+from weightsep.separability import separability_report
 
 from tests.support import (JSON_PROBES, central_difference, config_with,
                            relative_error, rewrite_checkpoint)
@@ -319,7 +326,7 @@ def test_objective_is_the_public_losses_and_their_gradient(loss, use_re,
     labels = rng.integers(0, 4, size=3)
     given = rng.normal(size=(4, 5))
     centers = given.copy()
-    trace = ws.forward(net, batch)
+    trace = forward(net, batch)
     parts, seeds, new_centers = harness._objective(cfg, net, trace, labels,
                                                    centers)
 
@@ -335,14 +342,14 @@ def test_objective_is_the_public_losses_and_their_gradient(loss, use_re,
     re_value = (ws.reconstruction_loss(trace.latent, labels,
                                        net.final_weight)[0]
                 if use_re else 0.0)
-    assert parts == (cls, re_value, ws.total_loss(cls, re_value, lam))
+    assert parts == (cls, re_value, total_loss(cls, re_value, lam))
 
-    grads = ws.backward(net, trace, *seeds)
+    grads = backward(net, trace, *seeds)
     params = [p.copy() for p in net.parameters()]
     live = net.replace_parameters(params)
 
     def total():
-        t = ws.forward(live, batch)
+        t = forward(live, batch)
         return harness._objective(cfg, live, t, labels, given.copy())[0][2]
 
     for p, g in zip(params, grads):
@@ -436,7 +443,7 @@ def test_logged_epsilon_is_the_report_of_each_steps_weight(
     art = train(blob_config(**overrides), blobs_small)
     assert len(weights) == len(art.records)
     assert [r.epsilon for r in art.records] == \
-        [ws.separability_report(w).epsilon for w in weights]
+        [separability_report(w).epsilon for w in weights]
     assert art.report.epsilon == art.records[-1].epsilon
 
 
@@ -581,15 +588,15 @@ def test_train_step_composes_gradient_seeds(blobs_small):
 
     spec = ws.NetworkSpec(cfg.layer_dims)
     net = ws.init_network(spec, cfg.seed)
-    feats, labels = next(ws.batches(blobs_small, cfg.batch_size, cfg.seed, 0))
-    tr = ws.forward(net, feats)
+    feats, labels = next(batches(blobs_small, cfg.batch_size, cfg.seed, 0))
+    tr = forward(net, feats)
     ce, logit_grad = ws.softmax_cross_entropy(tr.logits, labels)
     centers = np.zeros((spec.n_classes, spec.latent_dim))
     c, center_grad, _ = ws.center_loss(tr.latent, labels, centers,
                                        cfg.center_rate)
     re, re_latent, re_w = ws.reconstruction_loss(
         tr.latent, labels, net.final_weight)
-    grads = ws.backward(net, tr, logit_grad, center_grad + cfg.lam * re_latent,
+    grads = backward(net, tr, logit_grad, center_grad + cfg.lam * re_latent,
                         cfg.lam * re_w)
     params = net.parameters()
     velocity = tuple(np.zeros_like(p) for p in params)
@@ -631,7 +638,7 @@ def test_metrics_csv_schema_and_epsilon_format(blob_run):
 
 def test_metrics_csv_round_trip_consistency(tmp_path, blob_run):
     path = tmp_path / "metrics.csv"
-    ws.write_metrics_csv(blob_run.records, path)
+    write_metrics_csv(blob_run.records, path)
     rows = path.read_text().strip().split("\n")[1:]
     assert len(rows) == len(blob_run.records)
     for row, rec in zip(rows, blob_run.records):
@@ -889,8 +896,8 @@ def digits_net():
 
 def whole_split(net, ds):
     """Latents and accuracy from one forward call over every row."""
-    trace = ws.forward(net, ds.rows())
-    accuracy = float(np.mean(ws.decide_classes(trace.logits) == ds.labels))
+    trace = forward(net, ds.rows())
+    accuracy = float(np.mean(decide_classes(trace.logits) == ds.labels))
     return trace.latent, accuracy
 
 
@@ -1052,13 +1059,13 @@ def test_frozen_linearity_experiment_small(blobs_small):
 
 def test_loss_comparison_needs_a_seed(blobs_small):
     with pytest.raises(ConfigError, match="^need at least one seed$"):
-        ws.experiment_loss_comparison(blobs_small, blobs_small, seeds=(),
+        experiment_loss_comparison(blobs_small, blobs_small, seeds=(),
                                       config=blob_config())
 
 
 def test_loss_comparison_experiment_small(blobs_small):
     cfg = blob_config(epochs=5)
-    res = ws.experiment_loss_comparison(
+    res = experiment_loss_comparison(
         blobs_small, blobs_small, seeds=(0, 1), config=cfg
     )
     assert len(res.cells) == 4
@@ -1147,7 +1154,7 @@ def test_experiments_evaluate_each_trained_network_once(blobs_small,
     ws.experiment_frozen_linearity(blobs_small, blobs_small,
                                    replace(cfg, seed=1))
     assert len(evaluated) == 2
-    ws.experiment_loss_comparison(blobs_small, blobs_small, seeds=(0, 1, 2),
+    experiment_loss_comparison(blobs_small, blobs_small, seeds=(0, 1, 2),
                                   config=cfg)
     assert len(evaluated) == 2 + 4 * 3
     assert len({id(net) for net in evaluated}) == len(evaluated)

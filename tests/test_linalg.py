@@ -6,18 +6,15 @@ from weightsep import (
     ShapeError,
     SingularMatrixError,
     TrainConfig,
-    frobenius_norm_sq,
-    jacobi_eigh,
-    latent_features,
-    pca_reduce,
     qr_decompose,
     semi_orthogonal_init,
     separability_metric,
     synth_blobs,
-    trace,
     train,
 )
-from weightsep.linalg import as_matrix
+from weightsep.harness import latent_features
+from weightsep.linalg import (as_matrix, frobenius_norm_sq, jacobi_eigh,
+                              pca_reduce, trace)
 
 
 def test_frobenius_equals_trace_of_gram():

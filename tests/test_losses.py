@@ -6,14 +6,11 @@ from weightsep import (
     DataError,
     ShapeError,
     center_loss,
-    log_softmax,
-    one_hot,
     reconstruction_loss,
     semi_orthogonal_init,
-    softmax,
     softmax_cross_entropy,
-    total_loss,
 )
+from weightsep.losses import log_softmax, one_hot, softmax, total_loss
 from tests.support import central_difference, relative_error
 
 

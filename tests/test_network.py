@@ -9,15 +9,12 @@ import weightsep as ws
 from weightsep import (
     ConfigError,
     DataError,
-    Network,
     NetworkSpec,
     ShapeError,
-    backward,
-    decide_classes,
-    forward,
     harness,
     init_network,
 )
+from weightsep.network import Network, backward, decide_classes, forward
 
 from tests.support import central_difference, relative_error
 
