@@ -4,8 +4,9 @@ Subcommands: train, frozen-linearity, loss-compare, similarity,
 eval-metric, export-pca. Dataset flags accept an IDX directory (also
 settable through the WEIGHTSEP_DATA_DIR environment variable, the only
 env override), or one of the built-in synthetic sources ``digits`` and
-``blobs``. Exit code 0 on success; failures print ``error:<category>:``
-and exit with a category-specific nonzero code.
+``blobs``. ``main`` prints a command's report only after all its work,
+writes included, has succeeded, and exits 0; a failure prints only
+``error:<category>:`` and exits with a category-specific nonzero code.
 """
 
 import argparse
@@ -202,28 +203,26 @@ def cmd_train(args):
     test_accuracy = harness.evaluate_accuracy(artifact.network, test_ds)
     harness.write_run_artifact(artifact, args.out)
     final = artifact.records[-1]
-    print(f"steps: {final.step + 1}")
-    print(f"final train batch accuracy: {final.train_accuracy:.4f}")
-    print(f"final test accuracy: {test_accuracy:.4f}")
-    print(f"final separability: {format_epsilon(artifact.report.epsilon)}")
-    print(f"artifacts written to {args.out}")
-    return 0
+    return [f"steps: {final.step + 1}",
+            f"final train batch accuracy: {final.train_accuracy:.4f}",
+            f"final test accuracy: {test_accuracy:.4f}",
+            f"final separability: {format_epsilon(artifact.report.epsilon)}",
+            f"artifacts written to {args.out}"]
 
 
 def cmd_frozen_linearity(args):
     config, train_ds, test_ds = build_config(args, implicit_classes=(0, 1, 5))
     result = harness.experiment_frozen_linearity(train_ds, test_ds, config)
+    lines = []
     for arm in (result.orthonormal, result.random):
-        print(
-            f"{arm.name:>12}: test accuracy {arm.accuracy:.4f}, "
-            f"separability {format_epsilon(arm.epsilon)}"
-        )
+        lines.append(f"{arm.name:>12}: test accuracy {arm.accuracy:.4f}, "
+                     f"separability {format_epsilon(arm.epsilon)}")
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"latents_{arm.name}.csv")
             harness.export_pca(arm.latents, arm.labels, path)
-            print(f"{'':>12}  3-D latent export: {path}")
-    return 0
+            lines.append(f"{'':>12}  3-D latent export: {path}")
+    return lines
 
 
 def cmd_loss_compare(args):
@@ -236,40 +235,35 @@ def cmd_loss_compare(args):
     result = harness.experiment_loss_comparison(
         train_ds, test_ds, seeds, config=config
     )
-    print(f"{'loss':>24} {'recon':>6} {'accuracy':>9} {'separability':>13}")
-    for cell in result.cells:
-        print(
-            f"{cell.loss:>24} {str(cell.use_reconstruction):>6} "
-            f"{cell.mean_accuracy:>9.4f} {format_epsilon(cell.mean_epsilon):>13}"
-        )
-    print(f"rank correlation (accuracy vs -separability): "
-          f"{result.rank_correlation:+.3f}")
-    return 0
+    return [
+        f"{'loss':>24} {'recon':>6} {'accuracy':>9} {'separability':>13}",
+        *(f"{cell.loss:>24} {str(cell.use_reconstruction):>6} "
+          f"{cell.mean_accuracy:>9.4f} {format_epsilon(cell.mean_epsilon):>13}"
+          for cell in result.cells),
+        f"rank correlation (accuracy vs -separability): "
+        f"{result.rank_correlation:+.3f}",
+    ]
 
 
 def cmd_similarity(args):
     test_ds = _test_set(args)
     net = harness.load_checkpoint(args.checkpoint)
     rows = harness.similarity_report(net, test_ds)
-    print(f"{'class':>5} {'euclidean':>12} {'cosine dist':>12}")
-    for row in rows:
-        print(f"{row.class_index:>5} {row.euclidean:>12.4f} "
-              f"{row.cosine_distance:>12.4f}")
-    return 0
+    return [f"{'class':>5} {'euclidean':>12} {'cosine dist':>12}",
+            *(f"{row.class_index:>5} {row.euclidean:>12.4f} "
+              f"{row.cosine_distance:>12.4f}" for row in rows)]
 
 
 def cmd_eval_metric(args):
     w = harness.load_checkpoint(args.checkpoint).final_weight
-    # Both forms are computed, and checked, before anything is printed.
     frobenius = separability_metric(w)
     trace_form = separability_metric_trace_form(w)
     if not (math.isfinite(frobenius) and math.isfinite(trace_form)):
         raise NumericError(f"separability forms not finite: {frobenius} vs "
                            f"{trace_form}")
-    print(f"decision matrix: {w.shape[0]} x {w.shape[1]}")
-    print(f"separability (frobenius form): {format_epsilon(frobenius)}")
-    print(f"separability (trace form):     {format_epsilon(trace_form)}")
-    return 0
+    return [f"decision matrix: {w.shape[0]} x {w.shape[1]}",
+            f"separability (frobenius form): {format_epsilon(frobenius)}",
+            f"separability (trace form):     {format_epsilon(trace_form)}"]
 
 
 def cmd_export_pca(args):
@@ -277,8 +271,7 @@ def cmd_export_pca(args):
     net = harness.load_checkpoint(args.checkpoint)
     latents = harness.latent_features(net, test_ds)
     harness.export_pca(latents, test_ds.labels, args.out)
-    print(f"wrote {len(test_ds)} projected samples to {args.out}")
-    return 0
+    return [f"wrote {len(test_ds)} projected samples to {args.out}"]
 
 
 def make_parser():
@@ -349,7 +342,8 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        print(*args.func(args), sep="\n")
+        return 0
     except WeightsepError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
         return EXIT_CODES.get(e.category, 1)

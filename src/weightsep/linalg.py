@@ -124,6 +124,8 @@ def pca_reduce(x, k):
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
         cov = (centered.T @ centered) / (n_samples - 1)
+    if not np.isfinite(cov).all():
+        raise NumericError("pca_reduce: covariance has non-finite entries")
     _, vecs = jacobi_eigh(cov)
     basis = vecs[:, :k]
     anchor = np.argmax(np.abs(basis), axis=0)

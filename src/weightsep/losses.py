@@ -88,9 +88,9 @@ def center_loss(latent, labels, centers, rate):
     ``centers`` holds one running centroid per class in latent space; each
     present class's centroid moves toward its batch mean at ``rate``, and no
     gradient flows through them. Returns (loss, dloss/dlatent, new_centers).
-    The new centers match a per-class ``mean(axis=0)`` update bit for bit at
-    latent widths of 2 and up; at width 1 they may differ from it in the
-    last bit.
+    The new centers match a per-class ``mean(axis=0)`` update bit for bit,
+    but for entries below float64's ``tiny`` in magnitude, flushed to 0.0,
+    and for the last bit at latent width 1.
     """
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2:
@@ -122,7 +122,10 @@ def center_loss(latent, labels, centers, rate):
     # Absent classes keep their centers; a float divisor skips an int cast.
     means = sums / np.maximum(counts, 1.0)[:, None]
     moved = centers + rate * (means - centers)
-    return loss, grad, np.where(counts[:, None] > 0, moved, centers)
+    new_centers = np.where(counts[:, None] > 0, moved, centers)
+    # Else a center pulled to 0 sticks at the least subnormal, slowing steps.
+    new_centers[np.abs(new_centers) < np.finfo(np.float64).tiny] = 0.0
+    return loss, grad, new_centers
 
 
 def reconstruction_loss(latent, labels, w):

@@ -774,7 +774,7 @@ def test_eval_metric_on_an_overflowing_decision_weight_prints_only_its_error(
     ("similarity", 1e306,
      "class 0: distances not finite (euclidean inf, cosine 1.0)"),
     ("similarity", 1e308, "rows 128-255: latents or logits not finite"),
-    ("export-pca", 1e306, "a: non-finite entries"),
+    ("export-pca", 1e306, "pca_reduce: covariance has non-finite entries"),
     ("export-pca", 1e308, "rows 128-255: latents or logits not finite"),
 ], ids=["similarity-latents-finite", "similarity-latents-overflow",
         "export-pca-latents-finite", "export-pca-latents-overflow"])
@@ -921,6 +921,56 @@ def test_a_failed_evaluation_leaves_no_run_behind(tmp_path, monkeypatch):
     assert err == "error:data: no evaluation\n"
     assert out == ""
     assert not run_dir.exists()
+
+
+NO_SPACE = OSError(28, "No space left on device")
+
+
+# The last library call each command makes, the call of it that fails, and
+# the exit code and stderr line that failure documents.
+@pytest.mark.parametrize("command, owner, name, call, error, rc, err_line", [
+    ("train", harness, "write_run_artifact", 1, NO_SPACE, 5,
+     "error:io: [Errno 28] No space left on device"),
+    ("frozen-linearity", harness, "export_pca", 2, NO_SPACE, 5,
+     "error:io: [Errno 28] No space left on device"),
+    ("loss-compare", harness, "experiment_loss_comparison", 1,
+     DataError("no table"), 2, "error:data: no table"),
+    ("similarity", harness, "similarity_report", 1,
+     weightsep.NumericError("no rows"), 4, "error:numeric: no rows"),
+    ("eval-metric", cli, "separability_metric_trace_form", 1,
+     weightsep.NumericError("no trace"), 4, "error:numeric: no trace"),
+    ("export-pca", harness, "export_pca", 1, NO_SPACE, 5,
+     "error:io: [Errno 28] No space left on device"),
+], ids=["train", "frozen-linearity", "loss-compare", "similarity",
+        "eval-metric", "export-pca"])
+def test_a_command_whose_last_call_fails_prints_nothing_to_stdout(
+        train_run, tmp_path, monkeypatch, command, owner, name, call, error,
+        rc, err_line):
+    real = getattr(owner, name)
+    calls = []
+
+    def fail_on_call(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == call:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fail_on_call)
+    ckpt = str(train_run[2] / "checkpoint.bin")
+    out_dir = str(tmp_path / "out")
+    argv = {
+        "train": ["train", *BLOB_ARGS, "--epochs", "1", "--seed", "3",
+                  "--out", out_dir],
+        "frozen-linearity": ["frozen-linearity", *BLOB_ARGS, "--epochs", "2",
+                             "--seed", "3", "--out", out_dir],
+        "loss-compare": ["loss-compare", *BLOB_ARGS, "--seeds", "0"],
+        "similarity": ["similarity", *BLOB_ARGS[:4], "--seed", "3", ckpt],
+        "eval-metric": ["eval-metric", ckpt],
+        "export-pca": ["export-pca", *BLOB_ARGS[:4], "--seed", "3",
+                       "--checkpoint", ckpt, "--out", out_dir],
+    }[command]
+    assert run_cli(argv) == (rc, "", err_line + "\n")
+    assert len(calls) == call
 
 
 def save_initial_checkpoint(path, dims):

@@ -11,11 +11,13 @@ threads, and the split changes their rounding, so the runs happen in a child
 process with BLAS pinned to one thread. The benchmark runs at two threads,
 so the digits case is also checked there, in a second child; it is skipped
 where BLAS does not run two threads. The hashes were recorded with the BLAS
-build named in ``RECORDED_BLAS``; another build, or another CPU
-architecture, may round differently and need its own values. A failing case
-names the build it ran with, so such a difference reads as one.
+build and OpenBLAS kernel named in ``RECORDED_BLAS``; another build, another
+CPU architecture or another kernel (``OPENBLAS_CORETYPE`` picks one) may
+round differently and need its own values. A failing case names the build
+and kernel it ran with, so such a difference reads as one.
 """
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -82,9 +84,10 @@ DIGITS_TWO_THREADS_SHA256 = (
 TWO_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
                   "MKL_NUM_THREADS": "2"}
 
-# The build the hashes above were recorded with, as blas_build() reports it.
+# The build and kernel the hashes above were recorded with, as blas_build()
+# reports them.
 RECORDED_BLAS = {"name": "scipy-openblas", "version": "0.3.31.188.0",
-                 "machine": "x86_64"}
+                 "machine": "x86_64", "core": "SkylakeX"}
 
 def sha256_of(data):
     if isinstance(data, str):
@@ -92,11 +95,29 @@ def sha256_of(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def blas_core():
+    """The kernel the loaded OpenBLAS runs, such as ``SkylakeX``, read through
+    ctypes; None where it cannot tell."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                         None)
+        if getter is not None:
+            getter.restype = ctypes.c_char_p
+            return getter().decode()
+    return None
+
+
 def blas_build():
-    """Name and version of the BLAS numpy was built with, and the machine."""
+    """Name and version of the BLAS numpy was built with, the machine, and
+    the kernel it runs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"name": blas.get("name"), "version": blas.get("version"),
-            "machine": platform.machine()}
+            "machine": platform.machine(), "core": blas_core()}
 
 
 def blas_threads():
@@ -181,11 +202,14 @@ def assert_hashes(golden, case, expected):
     if got == expected:
         return
     build = golden["blas"]
-    if build == RECORDED_BLAS:
-        cause = "same BLAS build as recorded, so the arithmetic changed"
-    else:
+    recorded, running = RECORDED_BLAS["core"], build["core"]
+    if {**build, "core": recorded} != RECORDED_BLAS:
         cause = (f"BLAS build differs from the recorded {RECORDED_BLAS}; "
                  "record hashes for this build before reading a regression")
+    elif running != recorded:
+        cause = f"kernel differs: recorded {recorded}, running {running}"
+    else:
+        cause = "same build and kernel: the arithmetic changed"
     pytest.fail(f"{case}: sha256 {got} != {expected}; ran with {build}: "
                 f"{cause}")
 

@@ -171,6 +171,18 @@ def test_center_update_moves_toward_batch_mean():
     assert np.array_equal(centers, np.zeros((2, 2)))
 
 
+def test_center_update_flushes_subnormal_centers_to_zero():
+    # c + 0.5 * (0 - c) rounds back to c at the least subnormal, so a
+    # center pulled toward 0 would stay there; the update flushes it, and
+    # any entry below float64's tiny, present class or absent.
+    tiny = np.finfo(np.float64).tiny
+    centers = np.array([[5e-324, -5e-324, 1.0], [5e-324, tiny, -tiny]])
+    _, _, updated = center_loss(np.zeros((2, 3)), np.array([0, 0]), centers,
+                                0.5)
+    assert np.array_equal(updated, [[0.0, 0.0, 0.5], [0.0, tiny, -tiny]])
+    assert np.array_equal(centers[:, :2], [[5e-324, -5e-324], [5e-324, tiny]])
+
+
 def per_class_loop_centers(latent, labels, centers, rate):
     """Oracle: move each class present in the batch toward its batch mean,
     one class at a time."""
