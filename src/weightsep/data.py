@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .losses import _check_labels
-from .rng import STREAM_BATCH, STREAM_DATA, _is_int, generator
+from .rng import (_MASK32, STREAM_BATCH, STREAM_DATA, _is_int, check_seed,
+                  generator, stream_words)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -290,8 +291,8 @@ CANVAS_PIXELS = DIGIT_SIDE * DIGIT_SIDE
 
 def _scaled_glyph(rows):
     glyph = np.array([[ch == "#" for ch in row] for row in rows],
-                     dtype=np.float64)
-    scaled = np.kron(glyph, np.ones((3, 3)))  # 21 x 15
+                     dtype=np.uint8)
+    scaled = np.kron(glyph, np.ones((3, 3), dtype=np.uint8))  # 21 x 15
     scaled.setflags(write=False)  # shared by every sample of the digit
     return scaled
 
@@ -326,7 +327,6 @@ _HEAD_LOWS = np.array([-3, -3, 150] + [0] * _STROKES, dtype=np.int64)
 # A bounded 32-bit draw u in range n is (u * n) >> 32, and is redrawn when
 # the low 32 bits of u * n fall below (2**32 - n) % n.
 _HEAD_REDRAW_BELOW = (2**32 - _HEAD_RANGES) % _HEAD_RANGES
-_MASK32 = np.uint64(0xFFFFFFFF)
 # A uniform is (w >> 11) * 2**-53, so it is below 0.08 exactly when the
 # word w is below this.
 _SPECKLE_BELOW = np.uint64(math.ceil(0.08 * 2**53) << 11)
@@ -367,19 +367,18 @@ def synth_digits(per_class, seed):
     % n``, which moves every later draw; a sample with such a draw is drawn
     again by the ``Generator`` calls. Samples are rendered in blocks of at
     most ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a
-    few MB at any ``per_class``.
+    few MB at any ``per_class``; a block's streams are seeded together by
+    :func:`rng.stream_words`.
     """
     _check_counts(per_class=per_class)
+    check_seed(seed)
     features = _own_mapping((10 * per_class, CANVAS_PIXELS), np.uint8)
     block = min(per_class, RENDER_BLOCK_ROWS)
     words = np.empty((block, _STREAM_WORDS), dtype=np.uint64)
     for digit in range(10):
         for start in range(0, per_class, block):
             n = min(block, per_class - start)
-            for b in range(n):
-                words[b] = generator(
-                    seed, STREAM_DATA, digit, start + b
-                ).bit_generator.random_raw(_STREAM_WORDS)
+            stream_words(seed, (STREAM_DATA, digit), start, words[:n])
             head = _halves(words[:n, :_HEAD_WORDS])
             head *= _HEAD_RANGES
             redrawn = (head & _MASK32) < _HEAD_REDRAW_BELOW
@@ -398,9 +397,8 @@ def synth_digits(per_class, seed):
                 head[b, 3:] = rand.integers(0, 60, size=_STROKES)
                 speckle[b] = rand.random(CANVAS_PIXELS) < 0.08
                 intensities[b] = rand.integers(0, 64, size=CANVAS_PIXELS)
-            s = head[:, 3:]
-            np.subtract(head[:, 2, None], s, out=s)
-            np.clip(s, 0, 255, out=s)
+            # Level - stroke lies in [150 - 59, 255] = [91, 255]: a byte.
+            s = (head[:, 2, None] - head[:, 3:]).astype(np.uint8)
             body = _SCALED_GLYPHS[digit].reshape(-1) * s
             first = digit * per_class + start
             canvas = features[first:first + n]
@@ -408,7 +406,7 @@ def synth_digits(per_class, seed):
                       + DIGIT_SIDE * (3 + head[:, 0]) + 6 + head[:, 1])
             canvas.reshape(-1)[corner[:, None] + _GLYPH_OFFSETS] = body
             speckle &= canvas == 0
-            np.copyto(canvas, intensities, casting="unsafe", where=speckle)
+            canvas |= intensities.astype(np.uint8) * speckle
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(10, dtype=np.int64), per_class),

@@ -33,7 +33,7 @@ from weightsep.data import (
     batches,
     load_mnist_dir,
 )
-from weightsep.rng import STREAM_DATA, check_seed, generator
+from weightsep.rng import STREAM_DATA, check_seed, generator, stream_words
 
 
 def author_idx_pair(tmp_path, pixels, labels, rows, cols, stem="a"):
@@ -467,6 +467,8 @@ def render_digit(digit, rand):
     (1, 15451), (1, 19849),
     (RENDER_BLOCK_ROWS - 1, 4), (RENDER_BLOCK_ROWS, 6),
     (RENDER_BLOCK_ROWS + 1, 7),
+    # generator splits a seed of 2**32 or more into two entropy words.
+    (3, 2**32 - 1), (3, 2**32),
 ])
 def test_digits_equal_the_per_sample_renderer(per_class, seed):
     ds = synth_digits(per_class, seed)
@@ -483,11 +485,12 @@ def test_digits_hold_at_most_one_render_block_besides_the_features():
     import tracemalloc
 
     # A block row holds the sample's 1,335 raw stream words, its intensities
-    # as 64-bit halves, the head draws, the glyph body and its canvas index
-    # and two masks: about 4.2 float64 canvases. The bound allows 256 rows
-    # of 4 canvases; a renderer that drew a whole digit at once would hold
-    # 600 rows. The features live on their own mapping, which tracemalloc
-    # does not see, so the traced peak is the render buffers alone.
+    # as 64-bit halves, the head draws, the glyph body in bytes and its
+    # canvas index and two masks: about 3.7 float64 canvases, and about 4.5
+    # at the traced peak with the temporaries. The bound allows 256 rows of
+    # 4 canvases; a renderer that drew a whole digit at once would hold 600
+    # rows. The features live on their own mapping, which tracemalloc does
+    # not see, so the traced peak is the render buffers alone.
     row_bytes = 4 * 8 * CANVAS_PIXELS
     tracemalloc.start()
     try:
@@ -545,15 +548,18 @@ def test_freed_features_go_back_to_the_os(tmp_path):
             f"{name}: freeing {nbytes} feature bytes gave back {given_back}")
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 2.5, 2.0, True, np.bool_(False),
-                                 "3", None],
-                         ids=["-1", "2**64", "2.5", "2.0", "True",
-                              "numpy-bool", "str", "None"])
+BAD_SEEDS = pytest.mark.parametrize(
+    "bad", [-1, 2**64, 2.5, 2.0, True, np.bool_(False), "3", None],
+    ids=["-1", "2**64", "2.5", "2.0", "True", "numpy-bool", "str", "None"])
+
+
+@BAD_SEEDS
 def test_every_seeded_stream_rejects_a_seed_it_would_alias(bad):
     ds = synth_blobs(2, 3, 3, 0.1, seed=1)
     calls = (lambda: synth_digits(1, bad),
              lambda: synth_blobs(2, 3, 3, 0.1, seed=bad),
              lambda: list(batches(ds, 4, bad, 0)),
+             lambda: stream_words(bad, (), 0, np.empty((1, 1), np.uint64)),
              lambda: check_seed(bad))
     for call in calls:
         with pytest.raises(ConfigError, match="seed must be"):
@@ -569,6 +575,35 @@ def test_generator_streams_equal_seed_sequences_of_the_masked_ints(key):
     want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
     assert np.array_equal(generator(*key).integers(0, 2**63, size=16),
                           want.integers(0, 2**63, size=16))
+
+
+@BAD_SEEDS
+def test_digits_refuse_a_bad_seed_before_allocating(bad, monkeypatch):
+    def no_mapping(shape, dtype):
+        raise AssertionError(f"allocated {shape} before the seed check")
+
+    monkeypatch.setattr("weightsep.data._own_mapping", no_mapping)
+    with pytest.raises(ConfigError, match="seed must be"):
+        synth_digits(10**9, bad)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+                                  np.uint64(2**64 - 1)],
+                         ids=["0", "1", "2**32-1", "2**32", "2**64-1",
+                              "numpy-2**64-1"])
+def test_stream_words_equal_each_generators_raw_words(seed):
+    # With a one-word seed, the keys give 2, 4, 5 and 7 entropy words:
+    # SeedSequence pads a pool of 4, fills it, or mixes in the rest. The
+    # last first ends the block at 2**32 - 1, the last one-word index.
+    for key in ((), (2, 3), (2, 3, 4), (2**40, 3, 2**33)):
+        for first in (0, 127, 2**31, 2**32 - 4):
+            for count in (1, 2, 1335):
+                out = np.empty((4, count), dtype=np.uint64)
+                stream_words(seed, key, first, out)
+                for i, row in enumerate(out):
+                    want = generator(seed, *key, first + i).bit_generator
+                    assert np.array_equal(row, want.random_raw(count)), (
+                        key, first, count, i)
 
 
 def test_seeds_may_be_numpy_integers():
