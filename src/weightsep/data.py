@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .losses import _check_labels
 from .rng import (_MASK32, STREAM_BATCH, STREAM_DATA, _is_int, check_seed,
-                  generator, stream_words)
+                  generator, stream_states, stream_words)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -304,6 +304,10 @@ _SCALED_GLYPHS = tuple(_scaled_glyph(_GLYPHS[d]) for d in range(10))
 # The most samples of one digit synth_digits renders together: bounds its
 # buffers at any ``per_class``.
 RENDER_BLOCK_ROWS = 128
+# The most samples whose seeds synth_digits hashes in one pass, in sample
+# order across blocks and digits: bounds the pass's temporaries. At least
+# RENDER_BLOCK_ROWS, so a pass holds a whole block.
+HASH_ROWS = 2048
 
 _GLYPH_SHAPE = _SCALED_GLYPHS[0].shape
 _STROKES = math.prod(_GLYPH_SHAPE)
@@ -312,6 +316,10 @@ _GLYPH_OFFSETS = (
     DIGIT_SIDE * np.arange(_GLYPH_SHAPE[0])[:, None]
     + np.arange(_GLYPH_SHAPE[1])
 ).reshape(-1)
+# Each digit's ink cells: their flat canvas index, and their column among
+# the head draws.
+_INK = tuple((_GLYPH_OFFSETS[ink], 3 + ink)
+             for ink in map(np.flatnonzero, _SCALED_GLYPHS))
 
 # One sample's stream as 64-bit words (see synth_digits): the bounded draws
 # before the speckle uniforms, two to a word, then one word per uniform,
@@ -332,14 +340,15 @@ _HEAD_REDRAW_BELOW = (2**32 - _HEAD_RANGES) % _HEAD_RANGES
 _SPECKLE_BELOW = np.uint64(math.ceil(0.08 * 2**53) << 11)
 
 
-def _halves(words):
-    """The 32-bit draws PCG64 hands out from ``words``, low half first, in
-    the last axis. Shifts and masks, so the host's byte order plays no
-    part."""
-    out = np.empty((*words.shape, 2), dtype=np.uint64)
-    np.bitwise_and(words, _MASK32, out=out[..., 0])
-    np.right_shift(words, 32, out=out[..., 1])
-    return out.reshape(*words.shape[:-1], -1)
+def _draws(words):
+    """The 32-bit head draws and the speckle intensity draws of a block's
+    raw stream ``words``, read through a little-endian view: a copy only on
+    a big-endian host, so the host's byte order plays no part."""
+    words = words.astype("<u8", copy=False)
+    # A range of 64 never redraws, and (u * 64) >> 32 is u >> 26: the high
+    # byte of the 32-bit half u, shifted right by 2.
+    intensities = words[:, _SPECKLE_END:].view(np.uint8)[:, 3::4] >> 2
+    return words[:, :_HEAD_WORDS].view("<u4"), intensities
 
 
 def synth_digits(per_class, seed):
@@ -367,28 +376,34 @@ def synth_digits(per_class, seed):
     % n``, which moves every later draw; a sample with such a draw is drawn
     again by the ``Generator`` calls. Samples are rendered in blocks of at
     most ``RENDER_BLOCK_ROWS`` of one digit, so the temporary buffers stay a
-    few MB at any ``per_class``; a block's streams are seeded together by
-    :func:`rng.stream_words`.
+    few MB at any ``per_class``. The streams' seeds are hashed together by
+    :func:`rng.stream_states`, ``HASH_ROWS`` samples a pass in sample order
+    across blocks and digits, and a block's PCG64s are built from those
+    states by :func:`rng.stream_words`.
     """
     _check_counts(per_class=per_class)
     check_seed(seed)
     features = _own_mapping((10 * per_class, CANVAS_PIXELS), np.uint8)
     block = min(per_class, RENDER_BLOCK_ROWS)
     words = np.empty((block, _STREAM_WORDS), dtype=np.uint64)
+    hashed = range(0)
     for digit in range(10):
+        ink_offsets, ink_strokes = _INK[digit]
         for start in range(0, per_class, block):
             n = min(block, per_class - start)
-            stream_words(seed, (STREAM_DATA, digit), start, words[:n])
-            head = _halves(words[:n, :_HEAD_WORDS])
-            head *= _HEAD_RANGES
+            first = digit * per_class + start
+            if first + n > hashed.stop:
+                hashed = range(first, min(first + HASH_ROWS, 10 * per_class))
+                keys = np.divmod(hashed, per_class)
+                states = stream_states(seed, (STREAM_DATA, *keys))
+            stream_words(states[first - hashed.start:][:n], words[:n])
+            head, intensities = _draws(words[:n])
+            head = head * _HEAD_RANGES
             redrawn = (head & _MASK32) < _HEAD_REDRAW_BELOW
             head >>= 32
             head = head.view(np.int64)
             head += _HEAD_LOWS  # top, left, level, strokes
             speckle = words[:n, _HEAD_WORDS:_SPECKLE_END] < _SPECKLE_BELOW
-            # A range of 64 never redraws, and (u * 64) >> 32 is u >> 26.
-            intensities = _halves(words[:n, _SPECKLE_END:])
-            intensities >>= 26
             for b in np.flatnonzero(redrawn.any(axis=1)):
                 rand = generator(seed, STREAM_DATA, digit, start + b)
                 head[b, 0] = rand.integers(-3, 4)
@@ -397,16 +412,14 @@ def synth_digits(per_class, seed):
                 head[b, 3:] = rand.integers(0, 60, size=_STROKES)
                 speckle[b] = rand.random(CANVAS_PIXELS) < 0.08
                 intensities[b] = rand.integers(0, 64, size=CANVAS_PIXELS)
-            # Level - stroke lies in [150 - 59, 255] = [91, 255]: a byte.
-            s = (head[:, 2, None] - head[:, 3:]).astype(np.uint8)
-            body = _SCALED_GLYPHS[digit].reshape(-1) * s
-            first = digit * per_class + start
             canvas = features[first:first + n]
+            np.multiply(intensities, speckle, out=canvas)
+            # Ink, level - stroke, lies in [150 - 59, 255] = [91, 255]: a
+            # byte, and never 0, so it covers exactly the speckle it hides.
             corner = (np.arange(n) * CANVAS_PIXELS
                       + DIGIT_SIDE * (3 + head[:, 0]) + 6 + head[:, 1])
-            canvas.reshape(-1)[corner[:, None] + _GLYPH_OFFSETS] = body
-            speckle &= canvas == 0
-            canvas |= intensities.astype(np.uint8) * speckle
+            canvas.reshape(-1)[corner[:, None] + ink_offsets] = (
+                head[:, 2, None] - head[:, ink_strokes]).astype(np.uint8)
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(10, dtype=np.int64), per_class),

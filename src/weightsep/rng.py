@@ -6,9 +6,11 @@ independent stream from the seed plus a fixed stream id, so adding draws in
 one place never perturbs another, and reruns are bit-identical.
 
 A stream is numpy's PCG64 seeded through ``SeedSequence``, both stable
-across numpy releases. :func:`stream_words` hashes a block of streams' seeds
-in one numpy pass and builds each PCG64 from its hashed words: about 7 µs a
-1,335-word stream against 14 µs by :func:`generator` on a 2-vCPU host.
+across numpy releases. :func:`stream_states` hashes the seeds of many
+streams in one numpy pass, about 0.16 µs a stream at 2,048 a pass, and
+:func:`stream_words` builds each PCG64 from its hashed state: about 5.8 µs a
+1,335-word stream in all, against 14.7 µs by :func:`generator` on a 2-vCPU
+host.
 """
 
 import itertools
@@ -84,16 +86,23 @@ class _HashedSeed(ISeedSequence):
         return self.state
 
 
-def stream_words(seed, key, first, out):
-    """Fill row ``i`` of the ``(n, count)`` uint64 ``out`` with the first
-    ``count`` raw words of ``generator(seed, *key, first + i)``, for ``first
-    + i`` below 2**32. ``SeedSequence``'s hashing runs on whole columns of
-    entropy words, held in uint64 and masked to 32 bits after each product,
-    and each row's PCG64 takes its ``generate_state(4, np.uint64)`` as is."""
+def stream_states(seed, keys):
+    """The ``generate_state(4, np.uint64)`` of ``generator(seed, *row)``'s
+    ``SeedSequence``, as an ``(n, 4)`` uint64 array, for each row of the key
+    columns ``keys``: ints and at least one 1-D integer array, the arrays of
+    one length ``n``, each entry in [0, 2**32), one entropy word.
+    ``SeedSequence``'s hashing runs on whole columns, held in uint64 and
+    masked to 32 bits after each product."""
     check_seed(seed)
-    n = len(out)
-    entropy = [np.full(n, w, np.uint64) for w in _entropy_words(seed, *key)]
-    entropy.append(np.arange(first, first + n, dtype=np.uint64))
+    keys = [np.asarray(column) for column in keys]
+    for column in keys:
+        if column.dtype.kind not in "iu" or column.size and not (
+                column.min() >= 0 and column.max() <= _MASK32):
+            raise ConfigError(
+                f"stream key entries must be integers in [0, 2**32), got "
+                f"{column!r}")
+    entropy = [column.astype(np.uint64) for column in
+               np.broadcast_arrays(*_entropy_words(seed), *keys)]
     const, mult = _INIT_A, _MULT_A
 
     def hashmix(value):
@@ -109,7 +118,7 @@ def stream_words(seed, key, first, out):
 
     # A pool of 4 takes the first words, zeros past the last, and mixes
     # them together, then mixes each word past the fourth into all 4.
-    entropy += [np.zeros(n, np.uint64)] * (4 - len(entropy))
+    entropy += [np.zeros_like(entropy[0])] * (4 - len(entropy))
     pool = [hashmix(word) for word in entropy[:4]]
     for src, dst in itertools.permutations(range(4), 2):
         pool[dst] = mix(pool[dst], hashmix(pool[src]))
@@ -120,5 +129,12 @@ def stream_words(seed, key, first, out):
     # generate_state's own constants, and paired low first.
     const, mult = _INIT_B, _MULT_B
     state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-    for row, words in zip(out, state[:, ::2] | state[:, 1::2] << 32):
-        row[:] = np.random.PCG64(_HashedSeed(words)).random_raw(len(row))
+    return state[:, ::2] | state[:, 1::2] << 32
+
+
+def stream_words(states, out):
+    """Fill row ``i`` of the ``(n, count)`` uint64 ``out`` with the first
+    ``count`` raw words of the PCG64 seeded by ``states[i]``, a row of
+    :func:`stream_states`."""
+    for row, state in zip(out, states, strict=True):
+        row[:] = np.random.PCG64(_HashedSeed(state)).random_raw(len(row))

@@ -26,14 +26,25 @@ from weightsep import (
     write_idx,
 )
 from weightsep.data import (
+    _HEAD_WORDS,
     _SCALED_GLYPHS,
+    _SPECKLE_END,
+    _STREAM_WORDS,
     CANVAS_PIXELS,
     DIGIT_SIDE,
+    HASH_ROWS,
     RENDER_BLOCK_ROWS,
+    _draws,
     batches,
     load_mnist_dir,
 )
-from weightsep.rng import STREAM_DATA, check_seed, generator, stream_words
+from weightsep.rng import (
+    STREAM_DATA,
+    check_seed,
+    generator,
+    stream_states,
+    stream_words,
+)
 
 
 def author_idx_pair(tmp_path, pixels, labels, rows, cols, stem="a"):
@@ -414,6 +425,7 @@ def test_digits_shape_and_determinism():
     assert np.array_equal(a.features, b.features)
     assert a.rows().min() >= 0.0 and a.rows().max() <= 1.0
     assert np.array_equal(np.sort(np.unique(a.labels)), np.arange(10))
+    assert a.n_classes == 10
     c = synth_digits(per_class=3, seed=9)
     assert not np.array_equal(a.features, c.features)
 
@@ -481,24 +493,74 @@ def test_digits_equal_the_per_sample_renderer(per_class, seed):
     assert np.array_equal(ds.labels, np.repeat(np.arange(10), per_class))
 
 
-def test_digits_hold_at_most_one_render_block_besides_the_features():
+def test_digits_drawn_by_the_redraw_calls_alone_equal_the_per_sample_renderer(
+        monkeypatch):
+    # With every raw word 0, each head draw falls below its redraw bound, so
+    # every sample, at every place in its block, is drawn by the Generator
+    # calls of the redraw path.
+    def zero_words(states, out):
+        out[:] = 0
+
+    monkeypatch.setattr("weightsep.data.stream_words", zero_words)
+    per_class, seed = RENDER_BLOCK_ROWS + 2, 9
+    ds = synth_digits(per_class, seed)
+    for digit in range(10):
+        want = np.stack([
+            render_digit(digit, generator(seed, STREAM_DATA, digit, j))
+            for j in range(per_class)])
+        rows = ds.rows(slice(digit * per_class, (digit + 1) * per_class))
+        assert rows.tobytes() == want.tobytes(), digit
+
+
+def render_peak_bytes(per_class):
     import tracemalloc
 
-    # A block row holds the sample's 1,335 raw stream words, its intensities
-    # as 64-bit halves, the head draws, the glyph body in bytes and its
-    # canvas index and two masks: about 3.7 float64 canvases, and about 4.5
-    # at the traced peak with the temporaries. The bound allows 256 rows of
+    tracemalloc.start()
+    try:
+        synth_digits(per_class=per_class, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_digits_hold_at_most_one_render_block_besides_the_features():
+    # A block row holds the sample's 1,335 raw stream words (1.7 float64
+    # canvases), its head draws as 64-bit products, two masks, its intensity
+    # bytes and its ink cells' canvas index and values: about 3.1 canvases
+    # at the traced peak (measured 3.08). A hash pass adds a few hundred
+    # bytes for each of its HASH_ROWS streams. The bound allows 256 rows of
     # 4 canvases; a renderer that drew a whole digit at once would hold 600
     # rows. The features live on their own mapping, which tracemalloc does
     # not see, so the traced peak is the render buffers alone.
-    row_bytes = 4 * 8 * CANVAS_PIXELS
-    tracemalloc.start()
-    try:
-        synth_digits(per_class=600, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * row_bytes
+    assert render_peak_bytes(600) < 256 * 4 * 8 * CANVAS_PIXELS
+
+
+def test_digits_hash_their_streams_in_bounded_passes():
+    # Hashing all 30,000 streams in one pass would peak near 7.6 MB, past
+    # the one-block bound.
+    assert render_peak_bytes(3000) < 256 * 4 * 8 * CANVAS_PIXELS
+
+
+@pytest.mark.parametrize("rows", [RENDER_BLOCK_ROWS, 200, 1000])
+def test_digits_do_not_depend_on_the_hash_pass_size(rows, monkeypatch):
+    want = synth_digits(300, seed=5).features
+    monkeypatch.setattr("weightsep.data.HASH_ROWS", rows)
+    assert synth_digits(300, seed=5).features.tobytes() == want.tobytes()
+
+
+def test_block_draws_do_not_depend_on_the_words_byte_order():
+    words = np.empty((4, _STREAM_WORDS), dtype=np.uint64)
+    stream_words(stream_states(5, (STREAM_DATA, 3, np.arange(4))), words)
+    head, intensities = _draws(words)
+    swapped_head, swapped_intensities = _draws(words.astype(">u8"))
+    assert np.array_equal(head, swapped_head)
+    assert np.array_equal(intensities, swapped_intensities)
+    # PCG64 hands out each word's low 32-bit half first; an intensity is
+    # the top 6 bits of its half.
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=2)
+    halves = halves.reshape(4, -1)
+    assert np.array_equal(head, halves[:, :2 * _HEAD_WORDS])
+    assert np.array_equal(intensities, halves[:, 2 * _SPECKLE_END:] >> 26)
 
 
 def _vm_rss_bytes():
@@ -559,7 +621,7 @@ def test_every_seeded_stream_rejects_a_seed_it_would_alias(bad):
     calls = (lambda: synth_digits(1, bad),
              lambda: synth_blobs(2, 3, 3, 0.1, seed=bad),
              lambda: list(batches(ds, 4, bad, 0)),
-             lambda: stream_words(bad, (), 0, np.empty((1, 1), np.uint64)),
+             lambda: stream_states(bad, (np.arange(1),)),
              lambda: check_seed(bad))
     for call in calls:
         with pytest.raises(ConfigError, match="seed must be"):
@@ -593,17 +655,58 @@ def test_digits_refuse_a_bad_seed_before_allocating(bad, monkeypatch):
                               "numpy-2**64-1"])
 def test_stream_words_equal_each_generators_raw_words(seed):
     # With a one-word seed, the keys give 2, 4, 5 and 7 entropy words:
-    # SeedSequence pads a pool of 4, fills it, or mixes in the rest. The
-    # last first ends the block at 2**32 - 1, the last one-word index.
-    for key in ((), (2, 3), (2, 3, 4), (2**40, 3, 2**33)):
+    # SeedSequence pads a pool of 4, fills it, or mixes in the rest. A key
+    # column holds one entropy word, so 2**40 and 2**33 go in as their two
+    # words, low first. The last first ends the rows at 2**32 - 1, the last
+    # one-word index.
+    for key, columns in (((), ()), ((2, 3), (2, 3)), ((2, 3, 4), (2, 3, 4)),
+                         ((2**40, 3, 2**33), (0, 2**8, 3, 0, 2))):
         for first in (0, 127, 2**31, 2**32 - 4):
+            index = np.arange(first, first + 4)
+            states = stream_states(seed, (*columns, index))
             for count in (1, 2, 1335):
                 out = np.empty((4, count), dtype=np.uint64)
-                stream_words(seed, key, first, out)
+                stream_words(states, out)
                 for i, row in enumerate(out):
                     want = generator(seed, *key, first + i).bit_generator
                     assert np.array_equal(row, want.random_raw(count)), (
                         key, first, count, i)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1,
+                                  np.uint64(2**64 - 1)],
+                         ids=["0", "2**32-1", "2**32", "2**64-1",
+                              "numpy-2**64-1"])
+def test_stream_states_equal_seed_sequences_across_blocks_and_digits(seed):
+    # The rows of 250 samples a digit in two passes, split inside a digit,
+    # each crossing render blocks (every 128 rows of a digit) and digits
+    # (every 250 rows). A one-word seed gives 4 entropy words, a two-word
+    # one 5.
+    per_class = 250
+    low, high = int(seed) & 0xFFFFFFFF, int(seed) >> 32
+    seed_words = [low, high] if high else [low]
+    for rows in (range(HASH_ROWS), range(HASH_ROWS, 10 * per_class)):
+        digits, index = np.divmod(rows, per_class)
+        states = stream_states(seed, (STREAM_DATA, digits, index))
+        out = np.empty((len(rows), 3), dtype=np.uint64)
+        stream_words(states, out)
+        for state, words, d, j in zip(states, out, digits, index):
+            entropy = [*seed_words, STREAM_DATA, d, j]
+            sequence = np.random.SeedSequence(entropy)
+            assert np.array_equal(state,
+                                  sequence.generate_state(4, np.uint64))
+            want = np.random.PCG64(sequence).random_raw(3)
+            assert np.array_equal(words, want), (d, j)
+
+
+@pytest.mark.parametrize("index", [[2**32 - 1, 2**32], -1, 2**64, 2.0, True],
+                         ids=["2**32", "-1", "2**64", "float", "bool"])
+def test_stream_states_refuse_a_key_entry_past_one_word(index):
+    # A key entry is one entropy word: generator splits 2**32 into two, so
+    # hashing it as one would give another stream than generator's.
+    with pytest.raises(ConfigError, match=r"stream key entries must be "
+                                          r"integers in \[0, 2\*\*32\)"):
+        stream_states(1, (2, 3, index))
 
 
 def test_seeds_may_be_numpy_integers():
